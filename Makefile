@@ -9,7 +9,7 @@ BENCHCOUNT ?= 6
 OBSCOUNT ?= 5
 OBSMAX ?= 2
 
-.PHONY: all build test check vet race fuzz-smoke bench bench-json bench-save service-bench obs-check fault-check chaos-soak chip-bench
+.PHONY: all build test check vet race perfbench fuzz-smoke bench bench-json bench-save service-bench obs-check fault-check chaos-soak chip-bench
 
 all: build
 
@@ -25,9 +25,16 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# check: the robustness gate — static analysis, race-enabled tests, and a
-# short fuzz pass over the three input parsers.
-check: vet race fuzz-smoke
+# check: the robustness gate — static analysis, race-enabled tests, the
+# benchmark module's build, and a short fuzz pass over the input parsers.
+check: vet race perfbench fuzz-smoke
+
+# perfbench: perfbench/ is a separate Go module that imports the engine's
+# API; vet and test it so a change that breaks the benchmark fails here
+# rather than at the next benchmark run.
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseDeck -fuzztime=$(FUZZTIME) ./internal/circuit/

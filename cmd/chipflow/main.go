@@ -10,11 +10,10 @@
 // random RLC trees streamed straight into the parser through a pipe, so
 // a 50M-section benchmark needs no 50M-section file on disk.
 //
-// -verify re-runs every net through the serial slow twin — Net.Tree →
-// core.AnalyzeTreeCtx → timing.SummarizeNet, the exact functions the
-// spef.Parse batch path calls (Parse is a drained Stream; the grammars
-// are one) — and compares per-net results bit-for-bit via a running
-// hash over math.Float64bits, so verification memory is flat too.
+// -verify re-streams the input and runs every net serially through the
+// per-net oracle engine.AnalyzeNet — Net.Tree → core.AnalyzeTreeCtx →
+// timing.SummarizeNet — and compares per-net results bit-for-bit via a
+// running hash over math.Float64bits, so verification memory is flat too.
 //
 // Usage:
 //
@@ -38,7 +37,6 @@ import (
 	"strings"
 	"time"
 
-	"eedtree/internal/core"
 	"eedtree/internal/engine"
 	"eedtree/internal/guard"
 	"eedtree/internal/obs"
@@ -309,8 +307,8 @@ func openInput(ctx context.Context, cfg config) (io.Reader, func(), error) {
 }
 
 // serialTwinHash streams the same input again and analyzes every net
-// serially with the batch path's functions, hashing results exactly the
-// way the pipeline's OnNet hook does.
+// serially with engine.AnalyzeNet, hashing results exactly the way the
+// pipeline's OnNet hook does.
 func serialTwinHash(ctx context.Context, cfg config, lim guard.Limits) (uint64, error) {
 	r, cleanup, err := openInput(ctx, cfg)
 	if err != nil {
@@ -328,18 +326,7 @@ func serialTwinHash(ctx context.Context, cfg config, lim guard.Limits) (uint64, 
 			return 0, err
 		}
 		res := engine.NetResult{Index: i, Net: n.Name}
-		res.Err = func() error {
-			tree, err := n.Tree(s.Units())
-			if err != nil {
-				return err
-			}
-			nodes, err := core.AnalyzeTreeCtx(ctx, tree)
-			if err != nil {
-				return err
-			}
-			res.Summary, err = timing.SummarizeNet(n.Name, nodes)
-			return err
-		}()
+		res.Summary, res.Err = engine.AnalyzeNet(ctx, n, s.Units())
 		h.observe(res)
 		s.Recycle(n)
 	}

@@ -76,7 +76,6 @@ func TestE2EExitCodes(t *testing.T) {
 var batchSummaryRe = regexp.MustCompile(
 	`rlcdelay: batch: \d+ input\(s\), \d+ failed(?: \((?:[a-z_]+:\d+ ?)+\))?, ` +
 		`\d+ node\(s\) degraded to RC in \d+ input\(s\), ` +
-		`(?:cache \d+/\d+ hits \(\d+\.\d%\)|cache unused), ` +
 		`latency p50=\S+ p99=\S+`)
 
 func TestE2EBatchSummaryFormat(t *testing.T) {

@@ -21,15 +21,14 @@
 // output is still emitted in input order and the exit-code semantics are
 // unchanged. -j 0 means one worker per CPU. Batch runs (multiple inputs
 // or -j ≠ 1) end with a summary line on stderr: inputs, failures by
-// class, degraded-node totals, cache hit rate, and p50/p99 per-input
-// latency.
+// class, degraded-node totals, and p50/p99 per-input latency.
 //
 // Observability: -metrics writes a Prometheus-style text exposition dump
 // ("-" = stdout, a .json path gets the JSON form) at exit; -trace writes
-// the pipeline span tree (parse, limits, sums, sweep, cache lookup,
-// simulate, metrics extraction per input) as JSON; -pprof serves
-// net/http/pprof on the given address while the run lasts. All three are
-// off by default and cost nothing when off.
+// the pipeline span tree (parse, limits, sums, sweep, simulate, metrics
+// extraction per input) as JSON; -pprof serves net/http/pprof on the
+// given address while the run lasts. All three are off by default and
+// cost nothing when off.
 //
 // Nodes whose second-order model degraded to the RC (Elmore) fallback are
 // marked in the `deg` column with the degradation class (zero-inductance,
@@ -185,7 +184,7 @@ type inputInfo struct {
 // 1 when all failed, 3 on partial failure.
 func runBatch(ctx context.Context, paths []string, opts batchOptions, errw io.Writer) int {
 	// One shared engine: the per-node sweeps of all inputs draw from the
-	// same worker budget, and repeated decks hit the shared result cache.
+	// same worker budget.
 	eng := engine.New(engine.Options{Workers: opts.jobs})
 	outs := make([]bytes.Buffer, len(paths))
 	infos := make([]inputInfo, len(paths))
@@ -224,7 +223,7 @@ func runBatch(ctx context.Context, paths []string, opts batchOptions, errw io.Wr
 		}
 	}
 	if len(paths) > 1 || opts.jobs != 1 {
-		fmt.Fprintln(errw, batchSummary(paths, infos, failed, byClass, eng.CacheStats()))
+		fmt.Fprintln(errw, batchSummary(paths, infos, failed, byClass))
 	}
 	switch {
 	case failed == 0:
@@ -239,9 +238,8 @@ func runBatch(ctx context.Context, paths []string, opts batchOptions, errw io.Wr
 // batchSummary renders the end-of-run accounting line for batch mode:
 // input and failure totals (failures broken down by guard class), how
 // many nodes were silently degraded to the RC model and across how many
-// inputs, the shared result cache's hit rate, and exact p50/p99 of the
-// per-input wall times.
-func batchSummary(paths []string, infos []inputInfo, failed int, byClass map[string]int, cs engine.CacheStats) string {
+// inputs, and exact p50/p99 of the per-input wall times.
+func batchSummary(paths []string, infos []inputInfo, failed int, byClass map[string]int) string {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "rlcdelay: batch: %d input(s), %d failed", len(paths), failed)
 	if len(byClass) > 0 {
@@ -269,12 +267,6 @@ func batchSummary(paths []string, infos []inputInfo, failed int, byClass map[str
 		durs = append(durs, info.dur)
 	}
 	fmt.Fprintf(&b, ", %d node(s) degraded to RC in %d input(s)", degNodes, degInputs)
-	lookups := cs.Hits + cs.Misses
-	if lookups > 0 {
-		fmt.Fprintf(&b, ", cache %d/%d hits (%.1f%%)", cs.Hits, lookups, 100*float64(cs.Hits)/float64(lookups))
-	} else {
-		b.WriteString(", cache unused")
-	}
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 	if len(durs) > 0 {
 		p50 := obs.Percentile(durs, 50)

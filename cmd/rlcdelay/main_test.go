@@ -379,13 +379,11 @@ func TestValidateFlags(t *testing.T) {
 }
 
 // TestBatchSummaryLine: batch mode ends with a stderr summary carrying the
-// input/failure totals, degraded counts, cache hit rate and latency
-// percentiles — and the summary stays off stdout, which must remain
-// byte-identical between serial and parallel runs.
+// input/failure totals, degraded counts and latency percentiles — and the
+// summary stays off stdout, which must remain byte-identical between
+// serial and parallel runs.
 func TestBatchSummaryLine(t *testing.T) {
 	paths := writeScaledTrees(t, 4)
-	// Same file twice: the second analysis must be a cache hit.
-	paths = append(paths, paths[0])
 	bad := filepath.Join(t.TempDir(), "bad.txt")
 	if err := os.WriteFile(bad, []byte("not a tree"), 0o644); err != nil {
 		t.Fatal(err)
@@ -398,10 +396,9 @@ func TestBatchSummaryLine(t *testing.T) {
 	})
 	msg := stderr.String()
 	for _, want := range []string{
-		"rlcdelay: batch: 6 input(s), 1 failed",
+		"rlcdelay: batch: 5 input(s), 1 failed",
 		"parse:1",
-		"cache 1/5 hits (20.0%)",
-		"latency p50=",
+		", 0 node(s) degraded to RC in 0 input(s), latency p50=",
 		"p99=",
 	} {
 		if !strings.Contains(msg, want) {
@@ -426,9 +423,8 @@ func collectSpans(t *testing.T, node map[string]any, into map[string]float64) {
 }
 
 // TestTraceCoversPipelineStages: with a trace attached, one -sim input
-// produces spans for every pipeline stage — limits, parse, cache lookup,
-// sums, sweep, simulate, metrics extraction — each with a non-zero
-// duration.
+// produces spans for every pipeline stage — limits, parse, sums, sweep,
+// simulate, metrics extraction — each with a non-zero duration.
 func TestTraceCoversPipelineStages(t *testing.T) {
 	path := writeTree(t)
 	trace := obs.NewTrace("rlcdelay")
@@ -454,7 +450,7 @@ func TestTraceCoversPipelineStages(t *testing.T) {
 	spans := map[string]float64{}
 	collectSpans(t, root, spans)
 	for _, stage := range []string{
-		"rlcdelay", "input", "limits", "parse", "cache.lookup",
+		"rlcdelay", "input", "limits", "parse",
 		"sums", "sweep", "simulate", "metrics.extraction",
 	} {
 		dur, ok := spans[stage]

@@ -40,7 +40,7 @@ func TestEngineParallelBitIdentical65536(t *testing.T) {
 	}
 	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	for _, workers := range []int{2, 4, 7, 16} {
-		got, err := engine.AnalyzeTreeParallel(ctx, tree, workers)
+		got, err := engine.New(engine.Options{Workers: workers}).AnalyzeTree(ctx, tree)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -77,10 +77,11 @@ func TestEngineParallelSpeedup65536(t *testing.T) {
 	tree := appendixTree(t)
 	ctx := context.Background()
 	measure := func(workers int) time.Duration {
+		eng := engine.New(engine.Options{Workers: workers})
 		best := time.Duration(math.MaxInt64)
 		for rep := 0; rep < 3; rep++ { // best-of-3 damps scheduler noise
 			start := time.Now()
-			if _, err := engine.AnalyzeTreeParallel(ctx, tree, workers); err != nil {
+			if _, err := eng.AnalyzeTree(ctx, tree); err != nil {
 				t.Fatal(err)
 			}
 			if d := time.Since(start); d < best {

@@ -47,7 +47,7 @@ type contractFixture struct {
 func newContractServer(t *testing.T) *Server {
 	t.Helper()
 	s := newTestServer(t, Options{
-		Engine:          engine.New(engine.Options{Workers: 1, CacheEntries: 8}),
+		Engine:          engine.New(engine.Options{Workers: 1}),
 		RegistryEntries: 4,
 		MaxEdits:        4,
 		MaxBatchItems:   4,

@@ -16,7 +16,7 @@ import (
 // tight limits so hostile bodies hit every bound.
 var fuzzServer = sync.OnceValue(func() *Server {
 	return New(Options{
-		Engine:          engine.New(engine.Options{Workers: 1, CacheEntries: 4}),
+		Engine:          engine.New(engine.Options{Workers: 1}),
 		RegistryEntries: 4,
 		MaxBatchItems:   8,
 		MaxEdits:        8,

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,8 +39,9 @@ const (
 // Options configures a Server. The zero value is a usable production
 // default.
 type Options struct {
-	// Engine executes whole-tree sweeps; nil means a fresh default engine
-	// (GOMAXPROCS workers, DefaultCacheEntries result cache).
+	// Engine executes the resident nets' whole-tree sweeps and counts, in
+	// its CacheStats, the /v1/analyze calls answered from a session's held
+	// result; nil means a fresh default engine (GOMAXPROCS workers).
 	Engine *engine.Engine
 	// RegistryEntries bounds the resident-net pool (LRU-evicted).
 	// 0 means engine.DefaultRegistryEntries.
@@ -95,7 +97,6 @@ type Options struct {
 // concurrent use; one Server is meant to serve a whole process.
 type Server struct {
 	opts      Options
-	eng       *engine.Engine
 	reg       *engine.Registry
 	sem       chan struct{}
 	mux       *http.ServeMux
@@ -148,6 +149,14 @@ func endpointCounter(endpoint string) *obs.Counter {
 		"Requests served, by endpoint.")
 }
 
+// endpointRequests returns a handle on endpoint's request counter that
+// looks the counter up on first use only: a request pays one atomic load
+// instead of a label render and a registry lookup, and a route nobody has
+// called still has no series in the exposition.
+func endpointRequests(endpoint string) func() *obs.Counter {
+	return sync.OnceValue(func() *obs.Counter { return endpointCounter(endpoint) })
+}
+
 func endpointErrors(class string) *obs.Counter {
 	return obs.Default().Counter(obs.Label("eed_server_errors_total", "class", class),
 		"Request failures, by error class.")
@@ -182,7 +191,6 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		opts:      opts,
-		eng:       opts.Engine,
 		reg:       engine.NewRegistry(opts.Engine, opts.RegistryEntries),
 		sem:       make(chan struct{}, opts.MaxInflight),
 		mux:       http.NewServeMux(),
@@ -193,7 +201,7 @@ func New(opts Options) *Server {
 		bootID:    newBootID(),
 	}
 	s.start = s.clock()
-	s.mux.HandleFunc("/v1/nets", s.handleNets)
+	s.mux.HandleFunc("/v1/nets", s.netsHandler())
 	s.mux.HandleFunc("/v1/delay", s.analysis("/v1/delay", s.handleDelay))
 	s.mux.HandleFunc("/v1/analyze", s.analysis("/v1/analyze", s.handleAnalyze))
 	s.mux.HandleFunc("/v1/batch", s.analysis("/v1/batch", s.handleBatch))
@@ -390,11 +398,12 @@ func (s *Server) logRequest(ev *obs.WideEvent) {
 // one wide event, correlated by X-Eed-Request-Id with the client's
 // retries.
 func (s *Server) analysis(endpoint string, h func(ctx context.Context, w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
+	requests := endpointRequests(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
 		track := obs.On()
 		t0 := s.clock()
 		if track {
-			endpointCounter(endpoint).Inc()
+			requests().Inc()
 		}
 		rid, attempt := s.requestID(r)
 		w.Header().Set(HeaderRequestID, rid)
@@ -625,32 +634,36 @@ func netInfo(res *engine.Resident) NetInfo {
 	return info
 }
 
-// handleNets serves POST /v1/nets (register) and GET /v1/nets (list).
-func (s *Server) handleNets(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		s.analysis("/v1/nets", s.handleRegister)(w, r)
-	case http.MethodGet:
-		if obs.On() {
-			endpointCounter("/v1/nets").Inc()
+// netsHandler serves POST /v1/nets (register) and GET /v1/nets (list).
+func (s *Server) netsHandler() http.HandlerFunc {
+	register := s.analysis("/v1/nets", s.handleRegister)
+	requests := endpointRequests("/v1/nets")
+	return func(w http.ResponseWriter, r *http.Request) {
+		switch r.Method {
+		case http.MethodPost:
+			register(w, r)
+		case http.MethodGet:
+			if obs.On() {
+				requests().Inc()
+			}
+			st := s.reg.Stats()
+			resp := RegistryResponse{
+				Capacity:  st.Capacity,
+				Resident:  st.Resident,
+				Hits:      st.Hits,
+				Misses:    st.Misses,
+				Evictions: st.Evictions,
+				Nets:      []NetInfo{},
+			}
+			for _, res := range s.reg.Nets() {
+				resp.Nets = append(resp.Nets, netInfo(res))
+			}
+			writeJSON(w, http.StatusOK, resp)
+		default:
+			w.Header().Set("Allow", "GET, POST")
+			writeError(w, &apiErr{status: http.StatusMethodNotAllowed, class: "method",
+				message: "/v1/nets accepts GET and POST"})
 		}
-		st := s.reg.Stats()
-		resp := RegistryResponse{
-			Capacity:  st.Capacity,
-			Resident:  st.Resident,
-			Hits:      st.Hits,
-			Misses:    st.Misses,
-			Evictions: st.Evictions,
-			Nets:      []NetInfo{},
-		}
-		for _, res := range s.reg.Nets() {
-			resp.Nets = append(resp.Nets, netInfo(res))
-		}
-		writeJSON(w, http.StatusOK, resp)
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		writeError(w, &apiErr{status: http.StatusMethodNotAllowed, class: "method",
-			message: "/v1/nets accepts GET and POST"})
 	}
 }
 

@@ -2,15 +2,20 @@
 // analysis. The closed-form sweep of core.AnalyzeTreeCtx is embarrassingly
 // parallel once the two serial summation passes of the Appendix have run:
 // each node's second-order model and timing metrics are a pure function of
-// (sums, section). The engine exploits that in three ways:
+// (sums, section). A whole tree is analyzed in one of three ways, each
+// with one job:
 //
-//   - AnalyzeTreeParallel shards the per-node sweep across a worker pool,
+//   - core.AnalyzeTreeCtx is the serial sweep: the per-net oracle and the
+//     bit-identity reference;
+//   - Engine.AnalyzeTree shards the per-node sweep across a worker pool,
 //     producing results bit-identical to the serial path;
-//   - Engine adds a content-addressed result cache keyed by the tree's
-//     Fingerprint, so re-analyzing an unchanged deck is a hash plus a copy;
-//   - Batch is a bounded-concurrency scheduler for running many independent
-//     inputs (e.g. rlcdelay's multi-file loop) with per-task guard
-//     isolation and deterministic, input-ordered results.
+//   - Session.Analyze is a resident net's view: it reuses its last result
+//     while the tree's generation is unchanged and sweeps through its
+//     engine otherwise.
+//
+// Batch is a bounded-concurrency scheduler for running many independent
+// inputs (e.g. rlcdelay's multi-file loop) with per-task guard isolation
+// and deterministic, input-ordered results.
 //
 // All entry points honor context cancellation with guard.ErrCanceled-classed
 // errors, and worker goroutines run under guard panic isolation so a fault
@@ -19,7 +24,9 @@ package engine
 
 import (
 	"context"
-	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"eedtree/internal/core"
 	"eedtree/internal/guard"
@@ -28,111 +35,177 @@ import (
 )
 
 // Options configures an Engine. The zero value is usable: GOMAXPROCS
-// workers and a DefaultCacheEntries-entry result cache.
+// workers.
 type Options struct {
 	// Workers is the number of goroutines used for per-node sweeps.
 	// 0 (or negative) means runtime.GOMAXPROCS(0).
 	Workers int
-	// CacheEntries bounds the result cache (each entry holds one analyzed
-	// tree). 0 means DefaultCacheEntries; negative disables caching.
-	CacheEntries int
 }
 
-// DefaultCacheEntries is the result-cache capacity used when
-// Options.CacheEntries is zero.
-const DefaultCacheEntries = 64
-
-// Engine executes tree analyses on a worker pool with a content-addressed
-// result cache. It is safe for concurrent use by multiple goroutines —
-// the intended deployment is one shared Engine per process serving many
-// requests.
+// Engine executes tree analyses on a worker pool. It is safe for
+// concurrent use by multiple goroutines — the intended deployment is one
+// shared Engine per process serving many requests.
 type Engine struct {
 	workers int
-	cache   *cache // nil when caching is disabled
+	hits    atomic.Uint64 // Session.Analyze calls answered from the held result
+	misses  atomic.Uint64 // Session.Analyze calls that swept
 }
 
 // New returns an Engine with the given options.
 func New(opts Options) *Engine {
 	workers := opts.Workers
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = defaultWorkers()
 	}
-	entries := opts.CacheEntries
-	if entries == 0 {
-		entries = DefaultCacheEntries
-	}
-	e := &Engine{workers: workers}
-	if entries > 0 {
-		e.cache = newCache(entries)
-	}
-	return e
+	return &Engine{workers: workers}
 }
 
-// Workers returns the worker-pool width the engine analyzes with.
-func (e *Engine) Workers() int { return e.workers }
+// parallelThreshold is the tree size below which AnalyzeTree runs the
+// sweep inline instead of spawning workers: for small trees the per-node
+// closed forms finish faster than goroutine startup, and the serial path
+// is bit-identical anyway.
+const parallelThreshold = 2048
 
-// AnalyzeTree computes the equivalent Elmore characterization at every node
-// of the tree — the same results as core.AnalyzeTree, bit for bit — using
-// the worker pool, and serves repeated trees from the result cache. The
-// returned slice is owned by the caller; cached entries are copied out, so
-// mutating the result never corrupts the cache.
+// checkEvery is how many nodes a worker processes between context checks,
+// mirroring the serial sweep's cadence so cancellation latency is the same
+// in both paths.
+const checkEvery = 256
+
+// AnalyzeTree is core.AnalyzeTreeCtx with the per-node closed-form sweep
+// sharded across the engine's workers. The two O(n) summation passes of
+// the paper's Appendix are inherently serial (each node's sums depend on
+// its parent's) and run first on the calling goroutine; the per-node model
+// construction and metric evaluation that follow are independent across
+// nodes, so each worker fills a contiguous, disjoint shard of the result
+// slice with no synchronization beyond the final join. The returned slice
+// is owned by the caller.
+//
+// Results are bit-identical to the serial path: both call the same pure
+// per-node kernel (core.AnalyzeNodeSums) on the same sums. On error the
+// returned error is the one the serial sweep would have hit first (lowest
+// node index); cancellation surfaces as a guard.ErrCanceled-classed error.
+// Worker panics are isolated by guard.Run and reported as typed errors.
 func (e *Engine) AnalyzeTree(ctx context.Context, t *rlctree.Tree) ([]core.NodeAnalysis, error) {
-	if t.Len() == 0 {
-		// Match the serial path's error before touching the fingerprint.
+	n := t.Len()
+	if n == 0 {
 		return nil, guard.Newf(guard.ErrTopology, "core", "empty tree")
 	}
-	var fp rlctree.Fingerprint
-	if e.cache != nil {
-		lookup, _ := obs.StartSpan(ctx, "cache.lookup")
-		lookup.SetSections(t.Len())
-		fp = t.Fingerprint()
-		if hit, ok := e.cache.get(fp); ok {
-			lookup.EndWith("hit")
-			return rebind(hit, t), nil
-		}
-		lookup.EndWith("miss")
-	}
-	out, err := AnalyzeTreeParallel(ctx, t, e.workers)
-	if err != nil {
+	if err := guard.Check(ctx); err != nil {
 		return nil, err
 	}
-	if e.cache != nil {
-		stored := make([]core.NodeAnalysis, len(out))
-		copy(stored, out)
-		e.cache.put(fp, stored)
+	workers := min(e.workers, n)
+	// Instrumentation is per-sweep (a few clock reads and histogram
+	// records amortized over the whole tree), never per-node, so the
+	// kernel loop below runs exactly as fast as the uninstrumented
+	// baseline — the invariant `make obs-check` enforces.
+	track := obs.On()
+	var t0 time.Time
+	if track {
+		t0 = time.Now()
 	}
+	if workers == 1 || n < parallelThreshold {
+		out, err := core.AnalyzeTreeCtx(ctx, t)
+		if track && err == nil {
+			mSweepWorkers.Observe(1)
+			mSweepLatency.ObserveSince(t0)
+		}
+		return out, err
+	}
+
+	sumsSpan, _ := obs.StartSpan(ctx, "sums")
+	sumsSpan.SetSections(n)
+	var tSums time.Time
+	if track {
+		tSums = time.Now()
+	}
+	sums := t.ElmoreSums()
+	if track {
+		mCoreSumsLatency.ObserveSince(tSums)
+	}
+	sumsSpan.End()
+	sweepSpan, _ := obs.StartSpan(ctx, "sweep")
+	sweepSpan.SetSections(n)
+	sweepSpan.SetWorkers(workers)
+	var tKernel time.Time
+	if track {
+		tKernel = time.Now()
+	}
+	secs := t.Sections()
+	out := make([]core.NodeAnalysis, n)
+
+	// Contiguous sharding: worker w owns [w·chunk, (w+1)·chunk). Each
+	// worker records at most one error together with the node index it
+	// occurred at, so the join can report the lowest-index failure — the
+	// same error a serial sweep would return.
+	chunk := (n + workers - 1) / workers
+	errs := make([]error, workers)
+	errAt := make([]int, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo := w * chunk
+		hi := lo + chunk
+		if hi > n {
+			hi = n
+		}
+		if lo >= hi {
+			break
+		}
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			errAt[w] = hi
+			errs[w] = guard.Run(ctx, func(ctx context.Context) error {
+				for i := lo; i < hi; i++ {
+					if (i-lo)%checkEvery == 0 {
+						if err := guard.Check(ctx); err != nil {
+							errAt[w] = i
+							return err
+						}
+					}
+					na, err := core.AnalyzeNodeSums(sums, secs[i])
+					if err != nil {
+						errAt[w] = i
+						return err
+					}
+					out[i] = na
+				}
+				return nil
+			})
+		}(w, lo, hi)
+	}
+	wg.Wait()
+
+	first := -1
+	for w := range errs {
+		if errs[w] != nil && (first < 0 || errAt[w] < errAt[first]) {
+			first = w
+		}
+	}
+	if first >= 0 {
+		sweepSpan.EndWith(guard.ClassName(errs[first]))
+		return nil, errs[first]
+	}
+	outcome := "ok"
+	if track {
+		mCoreKernelLatency.ObserveSince(tKernel)
+		mSweepWorkers.Observe(int64(workers))
+		mSweepLatency.ObserveSince(t0)
+		if core.RecordDegraded(out) > 0 {
+			outcome = "degraded"
+		}
+	}
+	sweepSpan.EndWith(outcome)
 	return out, nil
 }
 
-// rebind copies a cached analysis slice, re-pointing each entry's Section
-// at the query tree's sections. Fingerprint equality guarantees the two
-// trees have identical section sequences, so index alignment is exact;
-// without this step a cache hit would leak sections of the first tree that
-// produced the entry.
-func rebind(cached []core.NodeAnalysis, t *rlctree.Tree) []core.NodeAnalysis {
-	out := make([]core.NodeAnalysis, len(cached))
-	copy(out, cached)
-	secs := t.Sections()
-	for i := range out {
-		out[i].Section = secs[i]
-	}
-	return out
-}
-
-// CacheStats is a point-in-time snapshot of the result cache's counters.
+// CacheStats is a point-in-time snapshot of how the engine's sessions
+// answered whole-tree Session.Analyze calls.
 type CacheStats struct {
-	Hits      uint64 // lookups served from the cache
-	Misses    uint64 // lookups that fell through to analysis
-	Evictions uint64 // entries displaced by the capacity bound
-	Entries   int    // entries currently resident
-	Capacity  int    // configured bound (0 when caching is disabled)
+	Hits   uint64 // answered from the session's held result
+	Misses uint64 // swept the tree
 }
 
-// CacheStats returns the engine's cache counters. All zeros when caching
-// is disabled.
+// CacheStats returns the engine's session-result counters.
 func (e *Engine) CacheStats() CacheStats {
-	if e.cache == nil {
-		return CacheStats{}
-	}
-	return e.cache.stats()
+	return CacheStats{Hits: e.hits.Load(), Misses: e.misses.Load()}
 }

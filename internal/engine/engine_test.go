@@ -44,10 +44,10 @@ func sameAnalyses(t *testing.T, got, want []core.NodeAnalysis) {
 	}
 }
 
-// TestParallelMatchesSerialRandomTrees: bit-exact equivalence on randomized
-// trees across worker counts 1/2/8, including trees large enough to
-// genuinely engage the worker pool and trees with zero-inductance (RC
-// degraded) sections.
+// TestParallelMatchesSerialRandomTrees: bit-exact equivalence of
+// Engine.AnalyzeTree on randomized trees across worker counts 1/2/8,
+// including trees large enough to genuinely engage the worker pool and
+// trees with zero-inductance (RC degraded) sections.
 func TestParallelMatchesSerialRandomTrees(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{1, 2, 3} {
@@ -63,7 +63,7 @@ func TestParallelMatchesSerialRandomTrees(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 8} {
-				got, err := AnalyzeTreeParallel(ctx, tree, workers)
+				got, err := New(Options{Workers: workers}).AnalyzeTree(ctx, tree)
 				if err != nil {
 					t.Fatalf("seed=%d n=%d workers=%d: %v", seed, sections, workers, err)
 				}
@@ -74,7 +74,7 @@ func TestParallelMatchesSerialRandomTrees(t *testing.T) {
 }
 
 func TestParallelEmptyTree(t *testing.T) {
-	if _, err := AnalyzeTreeParallel(context.Background(), rlctree.New(), 4); !errors.Is(err, guard.ErrTopology) {
+	if _, err := New(Options{Workers: 4}).AnalyzeTree(context.Background(), rlctree.New()); !errors.Is(err, guard.ErrTopology) {
 		t.Fatalf("error %v, want guard.ErrTopology", err)
 	}
 }
@@ -92,7 +92,7 @@ func TestParallelErrorMatchesSerial(t *testing.T) {
 	if serialErr == nil {
 		t.Fatal("serial analysis should fail")
 	}
-	_, parErr := AnalyzeTreeParallel(context.Background(), tree, 8)
+	_, parErr := New(Options{Workers: 8}).AnalyzeTree(context.Background(), tree)
 	if parErr == nil {
 		t.Fatal("parallel analysis should fail")
 	}
@@ -113,7 +113,7 @@ func TestParallelCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	hook := &cancelAfterPolls{Context: ctx, cancel: cancel, after: 3}
-	_, err = AnalyzeTreeParallel(hook, tree, 4)
+	_, err = New(Options{Workers: 4}).AnalyzeTree(hook, tree)
 	if !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("error %v, want guard.ErrCanceled", err)
 	}
@@ -152,158 +152,16 @@ func TestParallelAlreadyCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := AnalyzeTreeParallel(ctx, tree, 4); !errors.Is(err, guard.ErrCanceled) {
+	if _, err := New(Options{Workers: 4}).AnalyzeTree(ctx, tree); !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("error %v, want guard.ErrCanceled", err)
 	}
-	e := New(Options{Workers: 4})
-	if _, err := e.AnalyzeTree(ctx, tree); !errors.Is(err, guard.ErrCanceled) {
-		t.Fatalf("engine error %v, want guard.ErrCanceled", err)
-	}
-	if st := e.CacheStats(); st.Entries != 0 {
-		t.Fatalf("failed analysis must not populate the cache: %+v", st)
-	}
 }
 
-// TestEngineCacheHitsAndIsolation: repeated analysis of equal-content trees
-// is served from the cache with sections rebound to the query tree, and
-// mutating a returned slice never corrupts later hits.
-func TestEngineCacheHitsAndIsolation(t *testing.T) {
-	ctx := context.Background()
-	e := New(Options{Workers: 2})
-	tree := rlctree.Random(rand.New(rand.NewSource(5)), rlctree.RandomSpec{Sections: 50})
-
-	first, err := e.AnalyzeTree(ctx, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := e.CacheStats(); st.Hits != 0 || st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("after miss: %+v", st)
-	}
-	// Vandalize the caller's copy; the cache must be unaffected.
-	first[0].Delay50 = -1
-	first[0].Section = nil
-
-	clone := tree.Clone()
-	second, err := e.AnalyzeTree(ctx, clone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := e.CacheStats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("after hit: %+v", st)
-	}
-	want, err := core.AnalyzeTree(clone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameAnalyses(t, second, want)
-	// Rebinding: the hit's sections belong to the clone, not the original.
-	for i, a := range second {
-		if a.Section != clone.Sections()[i] {
-			t.Fatalf("node %d: cached hit kept a foreign Section pointer", i)
-		}
-	}
-}
-
-// TestEngineCacheMissAfterMutation: graft and resegment change the
-// fingerprint, so the mutated trees re-analyze (cache miss) with correct
-// fresh results — the cache can never serve a stale analysis.
-func TestEngineCacheMissAfterMutation(t *testing.T) {
-	ctx := context.Background()
-	e := New(Options{Workers: 2})
-	base, err := rlctree.Line("w", 12, rlctree.SectionValues{R: 10, L: 1e-9, C: 40e-15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.AnalyzeTree(ctx, base); err != nil {
-		t.Fatal(err)
-	}
-
-	grafted := base.Clone()
-	sub, err := rlctree.Line("g", 3, rlctree.SectionValues{R: 5, L: 0.5e-9, C: 20e-15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rlctree.Graft(grafted, grafted.Leaves()[0], sub, "g_"); err != nil {
-		t.Fatal(err)
-	}
-	reseg, err := rlctree.Resegment(base, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tc := range []struct {
-		name string
-		tree *rlctree.Tree
-	}{{"graft", grafted}, {"resegment", reseg}} {
-		got, err := e.AnalyzeTree(ctx, tc.tree)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		want, err := core.AnalyzeTree(tc.tree)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		sameAnalyses(t, got, want)
-	}
-	if st := e.CacheStats(); st.Misses != 3 || st.Hits != 0 || st.Entries != 3 {
-		t.Fatalf("mutated trees must miss: %+v", st)
-	}
-}
-
-// TestEngineCacheEviction: the LRU bound holds and evictions are counted.
-func TestEngineCacheEviction(t *testing.T) {
-	ctx := context.Background()
-	e := New(Options{Workers: 1, CacheEntries: 2})
-	trees := make([]*rlctree.Tree, 3)
-	for i := range trees {
-		tr, err := rlctree.Line("w", 4+i, rlctree.SectionValues{R: 10, L: 1e-9, C: 40e-15})
-		if err != nil {
-			t.Fatal(err)
-		}
-		trees[i] = tr
-		if _, err := e.AnalyzeTree(ctx, tr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := e.CacheStats()
-	if st.Entries != 2 || st.Evictions != 1 {
-		t.Fatalf("eviction accounting wrong: %+v", st)
-	}
-	// trees[0] was evicted (LRU): analyzing it again misses.
-	if _, err := e.AnalyzeTree(ctx, trees[0]); err != nil {
-		t.Fatal(err)
-	}
-	// trees[2] is still resident: hit.
-	if _, err := e.AnalyzeTree(ctx, trees[2]); err != nil {
-		t.Fatal(err)
-	}
-	st = e.CacheStats()
-	if st.Misses != 4 || st.Hits != 1 {
-		t.Fatalf("post-eviction lookups wrong: %+v", st)
-	}
-}
-
-func TestEngineCacheDisabled(t *testing.T) {
-	e := New(Options{Workers: 1, CacheEntries: -1})
-	tree, err := rlctree.Line("w", 8, rlctree.SectionValues{R: 10, L: 1e-9, C: 40e-15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := e.AnalyzeTree(context.Background(), tree); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := e.CacheStats(); st != (CacheStats{}) {
-		t.Fatalf("disabled cache must stay empty: %+v", st)
-	}
-}
-
-// TestEngineConcurrentUse: one shared engine serving many goroutines —
-// mixed hits and misses — must be race-free (run under -race) and correct.
+// TestEngineConcurrentUse: one shared engine serving many goroutines must
+// be race-free (run under -race) and correct.
 func TestEngineConcurrentUse(t *testing.T) {
 	ctx := context.Background()
-	e := New(Options{Workers: 2, CacheEntries: 4})
+	e := New(Options{Workers: 2})
 	trees := make([]*rlctree.Tree, 8)
 	for i := range trees {
 		trees[i] = rlctree.Random(rand.New(rand.NewSource(int64(i))), rlctree.RandomSpec{Sections: 40})
@@ -338,7 +196,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 		}
 	}
 	// After the dust settles every tree must still analyze to the serial
-	// truth (cache returned copies, so no cross-goroutine aliasing).
+	// truth (no cross-goroutine aliasing).
 	for i, tr := range trees {
 		got, err := e.AnalyzeTree(ctx, tr)
 		if err != nil {

@@ -2,19 +2,15 @@ package engine
 
 import "eedtree/internal/obs"
 
-// Registry metrics for the execution layer. The cache counters mirror the
-// bespoke CacheStats struct exactly (both are bumped at the same sites
-// under the cache mutex), so an exposition dump and Engine.CacheStats
-// always agree within one process when instrumentation is enabled.
+// Registry metrics for the execution layer. The cache counters mirror
+// Engine.CacheStats exactly (Session.Analyze bumps both at the same two
+// sites), so an exposition dump and the engines' CacheStats always agree
+// within one process when instrumentation is enabled.
 var (
 	mCacheHits = obs.Default().Counter("eed_engine_cache_hits_total",
-		"Result-cache lookups served from the cache.")
+		"Session whole-tree analyses answered from the session's held result.")
 	mCacheMisses = obs.Default().Counter("eed_engine_cache_misses_total",
-		"Result-cache lookups that fell through to a fresh analysis.")
-	mCacheEvictions = obs.Default().Counter("eed_engine_cache_evictions_total",
-		"Result-cache entries displaced by the capacity bound.")
-	mCacheEntries = obs.Default().Gauge("eed_engine_cache_entries",
-		"Result-cache entries currently resident.")
+		"Session whole-tree analyses that swept the tree.")
 	mSweepLatency = obs.Default().Histogram("eed_engine_sweep_latency_ns",
 		"Wall time of one whole-tree analysis sweep through the engine, nanoseconds.",
 		obs.DefaultLatencyBuckets)

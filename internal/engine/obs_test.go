@@ -13,36 +13,46 @@ import (
 // compare deltas (the default registry is process-global and other tests
 // may have bumped it already).
 type cacheCounterSnapshot struct {
-	hits, misses, evictions uint64
+	hits, misses uint64
 }
 
 func snapCacheCounters() cacheCounterSnapshot {
-	return cacheCounterSnapshot{
-		hits:      mCacheHits.Value(),
-		misses:    mCacheMisses.Value(),
-		evictions: mCacheEvictions.Value(),
-	}
+	return cacheCounterSnapshot{hits: mCacheHits.Value(), misses: mCacheMisses.Value()}
 }
 
 // TestCacheCountersMatchCacheStats is the wiring contract the exposition
 // dump relies on: the registry's cache counters move in lockstep with the
-// engine's own CacheStats, because both are bumped at the same sites under
-// the cache mutex.
+// engine's own CacheStats, because Session.Analyze bumps both at the same
+// sites.
 func TestCacheCountersMatchCacheStats(t *testing.T) {
 	ctx := context.Background()
-	eng := New(Options{Workers: 2, CacheEntries: 2})
+	eng := New(Options{Workers: 2})
 	rng := rand.New(rand.NewSource(7))
-	a := rlctree.Random(rng, rlctree.RandomSpec{Sections: 40})
-	b := rlctree.Random(rng, rlctree.RandomSpec{Sections: 41})
-	c := rlctree.Random(rng, rlctree.RandomSpec{Sections: 42})
+	a, err := newSession(eng, rlctree.Random(rng, rlctree.RandomSpec{Sections: 40}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := newSession(eng, rlctree.Random(rng, rlctree.RandomSpec{Sections: 41}))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	before := snapCacheCounters()
-	// a: miss, hit, hit; b: miss; c: miss (evicts a); a: miss again.
-	for _, tree := range []*rlctree.Tree{a, a, a, b, c, a} {
-		if _, err := eng.AnalyzeTree(ctx, tree); err != nil {
+	analyze := func(sess *Session) {
+		t.Helper()
+		if _, err := sess.Analyze(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
+
+	before := snapCacheCounters()
+	analyze(a) // miss
+	analyze(a) // hit
+	analyze(a) // hit
+	analyze(b) // miss
+	if err := a.SetC(a.Tree().Sections()[0], 1e-14); err != nil {
+		t.Fatal(err)
+	}
+	analyze(a) // miss: the edit moved the generation
 	after := snapCacheCounters()
 	cs := eng.CacheStats()
 
@@ -52,34 +62,29 @@ func TestCacheCountersMatchCacheStats(t *testing.T) {
 	if got := after.misses - before.misses; got != cs.Misses {
 		t.Errorf("registry misses delta = %d, CacheStats.Misses = %d", got, cs.Misses)
 	}
-	if got := after.evictions - before.evictions; got != cs.Evictions {
-		t.Errorf("registry evictions delta = %d, CacheStats.Evictions = %d", got, cs.Evictions)
-	}
-	if cs.Hits != 2 || cs.Misses != 4 {
-		t.Errorf("CacheStats = %+v, want 2 hits / 4 misses", cs)
-	}
-	if cs.Evictions == 0 {
-		t.Errorf("expected at least one eviction, got %+v", cs)
-	}
-	if got := mCacheEntries.Value(); got != int64(cs.Entries) {
-		t.Errorf("entries gauge = %d, CacheStats.Entries = %d", got, cs.Entries)
+	if cs.Hits != 2 || cs.Misses != 3 {
+		t.Errorf("CacheStats = %+v, want 2 hits / 3 misses", cs)
 	}
 }
 
 // TestSweepHistogramsPerSweep: the engine records exactly one latency and
-// one worker-width sample per analysis sweep (cache hits record nothing),
-// keeping instrumentation off the per-node path.
+// one worker-width sample per analysis sweep (a session answering from
+// its held result records nothing), keeping instrumentation off the
+// per-node path.
 func TestSweepHistogramsPerSweep(t *testing.T) {
 	ctx := context.Background()
-	eng := New(Options{Workers: 3, CacheEntries: 4})
+	eng := New(Options{Workers: 3})
 	rng := rand.New(rand.NewSource(11))
-	tree := rlctree.Random(rng, rlctree.RandomSpec{Sections: 30})
-
-	lat0, wrk0 := mSweepLatency.Count(), mSweepWorkers.Count()
-	if _, err := eng.AnalyzeTree(ctx, tree); err != nil { // miss: one sweep
+	sess, err := newSession(eng, rlctree.Random(rng, rlctree.RandomSpec{Sections: 30}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.AnalyzeTree(ctx, tree); err != nil { // hit: no sweep
+
+	lat0, wrk0 := mSweepLatency.Count(), mSweepWorkers.Count()
+	if _, err := sess.Analyze(ctx); err != nil { // miss: one sweep
+		t.Fatal(err)
+	}
+	if _, err := sess.Analyze(ctx); err != nil { // hit: no sweep
 		t.Fatal(err)
 	}
 	if got := mSweepLatency.Count() - lat0; got != 1 {
@@ -97,14 +102,17 @@ func TestObsOffRecordsNothing(t *testing.T) {
 	obs.SetEnabled(false)
 	defer obs.SetEnabled(true)
 	ctx := context.Background()
-	eng := New(Options{Workers: 2, CacheEntries: 2})
+	eng := New(Options{Workers: 2})
 	rng := rand.New(rand.NewSource(13))
-	tree := rlctree.Random(rng, rlctree.RandomSpec{Sections: 25})
+	sess, err := newSession(eng, rlctree.Random(rng, rlctree.RandomSpec{Sections: 25}))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	before := snapCacheCounters()
 	lat0 := mSweepLatency.Count()
 	for i := 0; i < 3; i++ {
-		if _, err := eng.AnalyzeTree(ctx, tree); err != nil {
+		if _, err := sess.Analyze(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,7 +123,7 @@ func TestObsOffRecordsNothing(t *testing.T) {
 		t.Errorf("sweep latency recorded %d samples while disabled", got-lat0)
 	}
 	// The engine's own CacheStats must keep counting regardless: the
-	// switch gates the observability layer, not the cache.
+	// switch gates the observability layer, not the held result.
 	if cs := eng.CacheStats(); cs.Hits != 2 || cs.Misses != 1 {
 		t.Errorf("CacheStats = %+v, want 2 hits / 1 miss with obs off", cs)
 	}

@@ -279,9 +279,25 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 	return agg.Report(), stats, err
 }
 
-// analyzeOne runs one net through tree build → closed-form sweep →
-// summary, recycling the net on every path (the net must not be touched
-// after this call).
+// AnalyzeNet is the per-net oracle: it builds net's RLC tree, sweeps it
+// serially with core.AnalyzeTreeCtx and summarizes it with
+// timing.SummarizeNet. RunPipeline runs every net through it, so a serial
+// replay of the same stream through AnalyzeNet is the pipeline's slow
+// twin.
+func AnalyzeNet(ctx context.Context, net *spef.Net, units spef.Units) (timing.NetSummary, error) {
+	tree, err := net.Tree(units)
+	if err != nil {
+		return timing.NetSummary{}, err
+	}
+	nodes, err := core.AnalyzeTreeCtx(ctx, tree)
+	if err != nil {
+		return timing.NetSummary{}, err
+	}
+	return timing.SummarizeNet(net.Name, nodes)
+}
+
+// analyzeOne runs one net through AnalyzeNet, recycling the net on every
+// path (the net must not be touched after this call).
 func analyzeOne(ctx context.Context, job pipeJob, track bool) NetResult {
 	res := NetResult{Index: job.index, Net: job.net.Name}
 	var tA time.Time
@@ -289,20 +305,9 @@ func analyzeOne(ctx context.Context, job pipeJob, track bool) NetResult {
 		tA = time.Now()
 	}
 	err := guard.Run(ctx, func(ctx context.Context) error {
-		tree, err := job.net.Tree(job.units)
-		if err != nil {
-			return err
-		}
-		nodes, err := core.AnalyzeTreeCtx(ctx, tree)
-		if err != nil {
-			return err
-		}
-		ns, err := timing.SummarizeNet(job.net.Name, nodes)
-		if err != nil {
-			return err
-		}
-		res.Summary = ns
-		return nil
+		var err error
+		res.Summary, err = AnalyzeNet(ctx, job.net, job.units)
+		return err
 	})
 	spef.RecycleNet(job.net)
 	res.Err = err

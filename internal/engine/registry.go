@@ -15,7 +15,9 @@ import (
 // least-recently-used. It is what turns the engine into a service — a
 // point query against a resident net skips process startup, parsing and
 // the O(n) summation passes entirely and runs at the session's O(depth)
-// cost.
+// cost, and a whole-tree analysis of a net unchanged since its last one
+// is a copy of the result its session holds. Each session holds at most
+// one such result, so the entry bound also bounds them.
 //
 // Concurrency contract. A Session is not safe for concurrent use (see
 // Session); the registry enforces that for its residents with a per-net
@@ -49,8 +51,9 @@ type Registry struct {
 const DefaultRegistryEntries = 256
 
 // NewRegistry returns a registry holding at most capacity resident nets
-// (capacity <= 0 means DefaultRegistryEntries) whose sessions analyze
-// through eng (nil = standalone sessions without the engine result cache).
+// (capacity <= 0 means DefaultRegistryEntries) whose sessions sweep
+// through eng and count their held-result hits and misses in its
+// CacheStats (nil = each session gets a default engine of its own).
 func NewRegistry(eng *Engine, capacity int) *Registry {
 	if capacity <= 0 {
 		capacity = DefaultRegistryEntries

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"eedtree/internal/core"
 	"eedtree/internal/guard"
 	"eedtree/internal/rlctree"
 )
@@ -353,7 +354,8 @@ func TestRegistryConcurrentSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After the storm every resident must still be bit-identical to a
-	// from-scratch sweep of its (edited) tree.
+	// from-scratch sweep of its (edited) tree, point queries and whole-tree
+	// analysis alike.
 	for i, res := range residents {
 		err := res.Do(func(sess *Session, tr *rlctree.Tree) error {
 			sums := tr.ElmoreSums()
@@ -367,6 +369,15 @@ func TestRegistryConcurrentSessions(t *testing.T) {
 					return fmt.Errorf("net %d node %d: resident state diverged", i, j)
 				}
 			}
+			got, err := sess.Analyze(ctx)
+			if err != nil {
+				return err
+			}
+			want, err := core.AnalyzeTreeCtx(ctx, tr)
+			if err != nil {
+				return err
+			}
+			sameAnalyses(t, got, want)
 			return nil
 		})
 		if err != nil {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"time"
 
 	"eedtree/internal/core"
@@ -33,9 +34,9 @@ import (
 //
 //   - DelayAt / SumsAt / AnalyzeAt: single-sink, incremental — O(depth)
 //     after a capacitance edit, O(1) otherwise.
-//   - Analyze: whole-tree — delegates to the engine's cached parallel
-//     path (a content-hash lookup when the tree is unchanged, a full O(n)
-//     sweep otherwise).
+//   - Analyze: whole-tree — a copy of the session's held result while the
+//     tree's generation is unchanged, otherwise a full O(n) sweep through
+//     the engine's AnalyzeTree, whose result the session then holds.
 //
 // Results are bit-identical to a from-scratch core analysis of the same
 // tree after any edit sequence (the internal/incr contract).
@@ -49,21 +50,19 @@ import (
 // tree; Registry gives that discipline a name (Resident.Do), and the
 // race-mode suite (TestRegistryConcurrentSessions) enforces it.
 type Session struct {
-	eng  *Engine // nil for a standalone session (no result cache)
+	eng  *Engine
 	tree *rlctree.Tree
 	st   *incr.State
-	gen  uint64 // tree generation st reflects
+	gen  uint64              // tree generation st reflects
+	full []core.NodeAnalysis // whole-tree result of generation gen; nil when none is held
 }
 
 // NewSession returns a standalone incremental session over t. Whole-tree
-// Analyze calls run on the default worker pool without a result cache; use
-// Engine.NewSession to couple the session to an engine's cache.
+// Analyze calls sweep on GOMAXPROCS workers.
 func NewSession(t *rlctree.Tree) (*Session, error) { return newSession(nil, t) }
 
-// NewSession returns an incremental session over t whose whole-tree
-// Analyze calls go through the engine's result cache and worker pool.
-func (e *Engine) NewSession(t *rlctree.Tree) (*Session, error) { return newSession(e, t) }
-
+// newSession returns a session whose whole-tree sweeps run on e (nil = a
+// default engine of its own).
 func newSession(e *Engine, t *rlctree.Tree) (*Session, error) {
 	if t == nil {
 		return nil, guard.Newf(guard.ErrTopology, "engine", "nil tree")
@@ -71,6 +70,9 @@ func newSession(e *Engine, t *rlctree.Tree) (*Session, error) {
 	st, err := incr.New(t)
 	if err != nil {
 		return nil, err
+	}
+	if e == nil {
+		e = New(Options{})
 	}
 	if obs.On() {
 		mIncrSessions.Inc()
@@ -93,11 +95,13 @@ func (s *Session) Stats() incr.Stats { return s.st.Stats() }
 // stream that no longer matches the state). The resync cause is recorded
 // honestly: every rebuild counts in eed_incr_resyncs_total, and those
 // caused by an unreplayable structural change additionally count in
-// eed_incr_structural_resyncs_total (rlctree.Tree.StructuralSince).
+// eed_incr_structural_resyncs_total (rlctree.Tree.StructuralSince). Any
+// move of the generation drops the held whole-tree result.
 func (s *Session) catchUp() error {
 	if s.gen == s.tree.Gen() {
 		return nil
 	}
+	s.full = nil
 	track := obs.On()
 	recs, status := s.tree.RecordsSince(s.gen)
 	if status == rlctree.JournalOK {
@@ -403,10 +407,10 @@ func (s *Session) EditAndAnalyze(ctx context.Context, edits []SectionEdit, sink 
 
 // Analyze returns the whole-tree characterization. The session first
 // catches the incremental state up (so subsequent single-sink queries stay
-// cheap), then delegates to the engine's cached parallel path when the
-// session was created from an Engine — the tree's fingerprint is cached
-// against its generation, so an unchanged tree costs a hash-table lookup —
-// or to the plain parallel sweep otherwise. Whole-tree latency lands in
+// cheap, and so a moved generation drops the held result). While the
+// session holds the result of the tree's current generation it returns a
+// copy of it — an engine cache hit; otherwise it sweeps with its engine's
+// AnalyzeTree — a miss — and holds the new result. Sweep latency lands in
 // eed_incr_full_latency_ns; compare against eed_incr_query_latency_ns for
 // the full-vs-incremental cost split.
 func (s *Session) Analyze(ctx context.Context) ([]core.NodeAnalysis, error) {
@@ -418,19 +422,26 @@ func (s *Session) Analyze(ctx context.Context) ([]core.NodeAnalysis, error) {
 		return nil, err
 	}
 	track := obs.On()
+	if s.full != nil {
+		s.eng.hits.Add(1)
+		if track {
+			mCacheHits.Inc()
+		}
+		return slices.Clone(s.full), nil
+	}
+	s.eng.misses.Add(1)
 	var t0 time.Time
 	if track {
+		mCacheMisses.Inc()
 		t0 = time.Now()
 	}
-	var out []core.NodeAnalysis
-	var err error
-	if s.eng != nil {
-		out, err = s.eng.AnalyzeTree(ctx, s.tree)
-	} else {
-		out, err = AnalyzeTreeParallel(ctx, s.tree, 0)
+	out, err := s.eng.AnalyzeTree(ctx, s.tree)
+	if err != nil {
+		return nil, err
 	}
-	if track && err == nil {
+	if track {
 		mIncrFullLatency.ObserveSince(t0)
 	}
-	return out, err
+	s.full = out
+	return slices.Clone(out), nil
 }

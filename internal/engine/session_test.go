@@ -273,57 +273,75 @@ func TestSessionEditAndAnalyze(t *testing.T) {
 	}
 }
 
+// TestSessionAnalyzeFullTreeAndCacheCoherence: Session.Analyze holds the
+// result of its tree's current generation. An unchanged tree is answered
+// from it (a hit, no sweep); any move of the generation — an edit through
+// the session, a direct edit on the tree, a structural round trip — makes
+// the next call sweep (a miss), bit-identical to the serial oracle. The
+// caller's writes to a returned slice never reach the held result.
 func TestSessionAnalyzeFullTreeAndCacheCoherence(t *testing.T) {
 	tree := sessionTestTree(t)
-	eng := New(Options{Workers: 2, CacheEntries: 8})
-	sess, err := eng.NewSession(tree)
+	eng := New(Options{Workers: 2})
+	sess, err := newSession(eng, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	out1, err := sess.Analyze(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.AnalyzeTree(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if out1[i].Delay50 != want[i].Delay50 {
-			t.Fatalf("node %d: full analyze mismatch", i)
+	analyze := func(step string, wantSweep bool) []core.NodeAnalysis {
+		t.Helper()
+		st0, lat0 := eng.CacheStats(), mSweepLatency.Count()
+		got, err := sess.Analyze(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
 		}
+		st, sweeps := eng.CacheStats(), mSweepLatency.Count()-lat0
+		want, err := core.AnalyzeTreeCtx(ctx, tree)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		sameAnalyses(t, got, want)
+		if wantSweep && (sweeps != 1 || st.Misses != st0.Misses+1 || st.Hits != st0.Hits) {
+			t.Fatalf("%s: want one sweep counted as a miss, got %d sweeps, %+v -> %+v", step, sweeps, st0, st)
+		}
+		if !wantSweep && (sweeps != 0 || st.Hits != st0.Hits+1 || st.Misses != st0.Misses) {
+			t.Fatalf("%s: want a hit and no sweep, got %d sweeps, %+v -> %+v", step, sweeps, st0, st)
+		}
+		return got
 	}
-	// Unchanged tree: second analyze must hit the cache.
-	if _, err := sess.Analyze(ctx); err != nil {
-		t.Fatal(err)
+	sinkIdx := tree.Len() - 1
+
+	first := analyze("first analysis", true)
+	sinkDelay := first[sinkIdx].Delay50
+	// Vandalize the caller's copies, from a sweep and from a hit; the held
+	// result must be unaffected.
+	for _, got := range [][]core.NodeAnalysis{first, analyze("unchanged tree", false)} {
+		got[0].Delay50 = -1
+		got[0].Section = nil
 	}
-	if st := eng.CacheStats(); st.Hits != 1 {
-		t.Fatalf("expected 1 cache hit, got %+v", st)
-	}
-	// An edit must change the fingerprint and miss the cache (coherence:
-	// stale results are never served after an edit).
+	analyze("unchanged tree again", false)
+
 	if err := sess.SetR(tree.Sections()[3], 99); err != nil {
 		t.Fatal(err)
 	}
-	out2, err := sess.Analyze(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := eng.CacheStats(); st.Misses != 2 {
-		t.Fatalf("expected 2 cache misses after edit, got %+v", st)
-	}
-	want2, err := core.AnalyzeTree(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sinkIdx := tree.Len() - 1
-	if out2[sinkIdx].Delay50 != want2[sinkIdx].Delay50 {
-		t.Fatal("post-edit full analyze differs from from-scratch")
-	}
-	if out2[sinkIdx].Delay50 == out1[sinkIdx].Delay50 {
+	if got := analyze("after a session edit", true); got[sinkIdx].Delay50 == sinkDelay {
 		t.Fatal("edit had no effect on the analysis")
 	}
+
+	if err := tree.Sections()[5].SetC(80e-15); err != nil {
+		t.Fatal(err)
+	}
+	analyze("after a direct edit on the tree", true)
+
+	// The round trip restores the content, but the generation has moved.
+	leaf, err := sess.AttachLeaf("tap", tree.Sections()[7], 2, 0, 30e-15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Detach(leaf); err != nil {
+		t.Fatal(err)
+	}
+	analyze("after AttachLeaf + Detach", true)
+	analyze("unchanged after the round trip", false)
 }
 
 func TestSessionValidation(t *testing.T) {

@@ -22,11 +22,14 @@ type Registry struct {
 // NewRegistry returns an empty registry. Most code uses Default().
 func NewRegistry() *Registry { return &Registry{} }
 
+// labelEscaper is built once: a strings.Replacer is costly to construct
+// and safe for concurrent use.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // Label renders a single key="value" label into a metric name, escaping
 // the value's backslashes, quotes and newlines per the exposition format.
 func Label(name, key, value string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return fmt.Sprintf(`%s{%s="%s"}`, name, key, r.Replace(value))
+	return name + "{" + key + `="` + labelEscaper.Replace(value) + `"}`
 }
 
 // familyOf strips the label part of a full metric name.

@@ -11,19 +11,19 @@ import (
 // built from the same sequence of sections (same names, same parent
 // indices, bit-identical R/L/C), which is exactly the condition under
 // which every analysis derived from the tree — sums, second-order models,
-// closed-form metrics — is identical. It is the key of the
-// content-addressed result cache in internal/engine.
+// closed-form metrics — is identical. It is the key of the resident-net
+// registry in internal/engine.
 type Fingerprint [sha256.Size]byte
 
 // Fingerprint returns the tree's content hash. The hash is computed in one
 // O(n) pass and cached against the tree's generation counter, so repeated
 // calls on an unchanged tree are a mutex acquire and a copy; any mutation
-// — adding a section, an element edit through SetR/SetL/SetC, grafting,
-// resegmenting — bumps the generation and forces a recompute on the next
+// — adding a section, an element edit through SetR/SetL/SetC, attaching,
+// detaching or splitting — bumps the generation and forces a recompute on the next
 // call (fingerprint-delta invalidation). Clone preserves the fingerprint.
 //
 // The cache makes Fingerprint safe for concurrent readers of an otherwise
-// unmodified tree, matching the engine result cache's access pattern.
+// unmodified tree.
 func (t *Tree) Fingerprint() Fingerprint {
 	t.fpMu.Lock()
 	defer t.fpMu.Unlock()

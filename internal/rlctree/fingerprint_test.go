@@ -87,8 +87,9 @@ func TestFingerprintSensitivity(t *testing.T) {
 }
 
 // TestFingerprintGraftResegment: the mutation helpers used to assemble
-// composite networks must produce new fingerprints — the property the
-// engine cache relies on to never serve stale analyses.
+// composite networks — resegmenting, and grafting a subtree on with
+// AttachSubtree — must produce new fingerprints, the property the
+// registry relies on to re-key an edited net.
 func TestFingerprintGraftResegment(t *testing.T) {
 	tr := mustLine(t, 8)
 	fp := tr.Fingerprint()
@@ -102,7 +103,11 @@ func TestFingerprintGraftResegment(t *testing.T) {
 	}
 
 	host := tr.Clone()
-	if _, err := Graft(host, host.Leaves()[0], mustLine(t, 2), "g_"); err != nil {
+	stub, err := Line("g", 2, SectionValues{R: 10, L: 1e-9, C: 50e-15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := host.AttachSubtree(host.Leaves()[0], stub); err != nil {
 		t.Fatal(err)
 	}
 	if host.Fingerprint() == fp {

@@ -27,7 +27,7 @@ import (
 //     pass over the post-edit tree.
 //
 // Detach and AttachSubtree move Section structs between trees rather than
-// copying them (contrast Graft, which copies): pointers held by callers
+// copying them (contrast Clone, which copies): pointers held by callers
 // stay valid across the move, with Index/Tree/Parent re-homed.
 
 // AttachLeaf appends a new leaf section beneath parent (nil = the input

@@ -224,8 +224,37 @@ func TestDetachMidArrayCompacts(t *testing.T) {
 	}
 }
 
+func TestAttachSubtreeAtInput(t *testing.T) {
+	// A nil parent hangs the subtree off the input node: its root becomes
+	// one more root of the tree, and the moved sections come back in
+	// source index order.
+	tr, _, _, _ := buildEditTree(t)
+	src, err := Line("w", 3, SectionValues{R: 1, L: 0, C: 1e-15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]*Section(nil), src.Sections()...)
+	moved, err := tr.AttachSubtree(nil, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTreeInvariants(t, tr)
+	if len(tr.Roots()) != 2 || tr.Section("w1").Parent() != nil {
+		t.Fatal("attach at the input must add a root")
+	}
+	for i, s := range moved {
+		if s != want[i] {
+			t.Fatalf("moved[%d] = %q, want source section %q", i, s.Name(), want[i].Name())
+		}
+	}
+}
+
 func TestAttachSubtreeValidation(t *testing.T) {
 	tr, a, _, _ := buildEditTree(t)
+	var nilTree *Tree
+	if _, err := nilTree.AttachSubtree(nil, New()); err == nil {
+		t.Fatal("nil destination must be rejected")
+	}
 	if _, err := tr.AttachSubtree(a, nil); err == nil {
 		t.Fatal("nil src must be rejected")
 	}

@@ -190,6 +190,20 @@ func (t *Tree) MustAddSection(name string, parent *Section, r, l, c float64) *Se
 	return s
 }
 
+// Clone returns a deep copy of the tree: the same sections, names and
+// element values, in the same index order.
+func (t *Tree) Clone() *Tree {
+	out := New()
+	for i, s := range t.sections {
+		var parent *Section
+		if pi := t.parentIdx[i]; pi >= 0 {
+			parent = out.sections[pi]
+		}
+		out.MustAddSection(s.name, parent, t.r[i], t.l[i], t.c[i])
+	}
+	return out
+}
+
 // Len returns the number of sections (branches) in the tree.
 func (t *Tree) Len() int { return len(t.sections) }
 

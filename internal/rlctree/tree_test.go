@@ -432,3 +432,19 @@ func TestParseSkipsCommentsAndUnits(t *testing.T) {
 		t.Fatal("parsed values wrong")
 	}
 }
+
+func TestClone(t *testing.T) {
+	src, _ := BalancedUniform(3, 2, SectionValues{R: 5, L: 2e-9, C: 30e-15})
+	c := src.Clone()
+	if c.Format() != src.Format() {
+		t.Fatal("clone differs from source")
+	}
+	if math.Abs(c.TotalCap()-src.TotalCap()) > 1e-25 {
+		t.Fatal("clone capacitance differs")
+	}
+	// Mutating the clone must not affect the source.
+	c.MustAddSection("extra", c.Section("n3_0"), 1, 0, 1e-15)
+	if src.Section("extra") != nil || src.Len() == c.Len() {
+		t.Fatal("clone aliases the source")
+	}
+}

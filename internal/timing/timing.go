@@ -80,7 +80,9 @@ func analyzeStage(st *Stage, inputRise float64) (StageResult, error) {
 	if st.Tree.Section(st.Sink) == nil {
 		return StageResult{}, fmt.Errorf("unknown sink section %q", st.Sink)
 	}
-	// Assemble: driver section → grafted tree → load caps at named nodes.
+	// Assemble: driver section → a copy of the stage tree → load caps at
+	// named nodes. AttachSubtree returns the moved sections in source
+	// index order, so copies[i] is the copy of st.Tree's section i.
 	net := rlctree.New()
 	var root *rlctree.Section
 	if st.RDriver > 0 {
@@ -90,7 +92,7 @@ func analyzeStage(st *Stage, inputRise float64) (StageResult, error) {
 			return StageResult{}, err
 		}
 	}
-	copies, err := rlctree.Graft(net, root, st.Tree, "")
+	copies, err := net.AttachSubtree(root, st.Tree.Clone())
 	if err != nil {
 		return StageResult{}, err
 	}

@@ -70,7 +70,7 @@ func TestSingleStageStepMatchesCore(t *testing.T) {
 	// Rebuild the loaded network by hand.
 	net := rlctree.New()
 	drv := net.MustAddSection("__drv", nil, st.RDriver, 0, 0)
-	copies, err := rlctree.Graft(net, drv, st.Tree, "")
+	copies, err := net.AttachSubtree(drv, st.Tree.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
