@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"eedtree/internal/awe"
 	"eedtree/internal/core"
@@ -116,9 +115,10 @@ func BenchmarkAnalyzeTreeParallelBaseline(b *testing.B) {
 }
 
 // BenchmarkAnalyzeTreeParallelFlightArmed adds the flight recorder's
-// per-unit work to the instrumented sweep: build one wide event, stamp
-// its stage, Record it into the process-wide ring — exactly what the
-// engine pipeline and the service spine pay per request. `make obs-check`
+// per-unit work to the instrumented sweep: reset one wide event, time the
+// sweep as the event's stage, Record it into the process-wide ring —
+// exactly what the engine pipeline pays per net and the service spine
+// per request. `make obs-check`
 // compares it against BenchmarkAnalyzeTreeParallel under the same 2%
 // budget, pinning the dormant recorder to one atomic bump plus a
 // preallocated slot copy (the capture buffer stays cold: the events are
@@ -132,16 +132,17 @@ func BenchmarkAnalyzeTreeParallelFlightArmed(b *testing.B) {
 	ctx := context.Background()
 	eng := engine.New(engine.Options{Workers: 4})
 	fr := obs.DefaultFlight()
+	ev := &obs.WideEvent{}
+	evCtx := obs.WithEvent(ctx, ev)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
+		*ev = obs.WideEvent{Route: "bench.net", Net: "w"}
+		st, _ := obs.StartStage(evCtx, "analyze", nil)
 		if _, err := eng.AnalyzeTree(ctx, tree); err != nil {
 			b.Fatal(err)
 		}
-		dur := time.Since(t0)
-		ev := obs.WideEvent{StartNS: t0.UnixNano(), Route: "bench.net", Net: "w", TotalNS: dur.Nanoseconds()}
-		ev.AddStage("analyze", dur)
-		fr.Record(&ev, nil)
+		ev.TotalNS = int64(st.End(""))
+		fr.Record(ev, nil)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tree.Len()), "ns/section")
 }

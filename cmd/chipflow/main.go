@@ -253,14 +253,14 @@ func execute(ctx context.Context, cfg config, lim guard.Limits) (*chipRun, error
 	}
 	defer cleanup()
 
-	span, ctx := obs.StartSpan(ctx, "pipeline")
+	st, ctx := obs.StartStage(ctx, "pipeline", nil)
 	report, stats, err := engine.RunPipeline(ctx, r, pcfg)
 	if err != nil {
-		span.EndWith(guard.ClassName(err))
+		st.End(guard.ClassName(err))
 		return nil, err
 	}
-	span.SetSections(stats.Sections)
-	span.End()
+	st.SetSections(stats.Sections)
+	st.End("")
 	run.Report = report
 	run.Stats = stats
 	if cfg.synth > 0 {
@@ -271,13 +271,13 @@ func execute(ctx context.Context, cfg config, lim guard.Limits) (*chipRun, error
 	}
 
 	if cfg.verify {
-		span, ctx := obs.StartSpan(ctx, "verify")
+		st, ctx := obs.StartStage(ctx, "verify", nil)
 		twinHash, err := serialTwinHash(ctx, cfg, lim)
 		if err != nil {
-			span.EndWith(guard.ClassName(err))
+			st.End(guard.ClassName(err))
 			return nil, fmt.Errorf("verify: %w", err)
 		}
-		span.End()
+		st.End("")
 		if pipeHash.sum() != twinHash {
 			return nil, fmt.Errorf("verify: pipeline results differ from the serial slow twin (hash %016x vs %016x over %d nets)",
 				pipeHash.sum(), twinHash, stats.Nets+stats.Failed)

@@ -118,6 +118,11 @@ func realMain() int {
 		Logger:          logger,
 	})
 
+	// Catch SIGTERM before the listen line announces the daemon: a signal
+	// that arrives once a client can reach it must drain, not kill.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "eedd: %v\n", err)
@@ -133,9 +138,6 @@ func realMain() int {
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	select {
 	case err := <-serveErr:

@@ -12,7 +12,10 @@
 // by more than -max percent. `make obs-check` wires it up.
 //
 // Medians across -count runs keep one noisy sample from failing the gate;
-// -count of at least 3 is recommended.
+// -count of at least 3 is recommended. Each side's interquartile range
+// over its median is printed beside it, and the verdict says "within
+// noise" when the overhead is smaller than the baseline's spread; the
+// budget alone decides the exit status.
 package main
 
 import (
@@ -21,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -96,22 +100,39 @@ func check(r io.Reader, w io.Writer, instr, base string, maxPct float64) error {
 		return fmt.Errorf("nonsense baseline median %g ns/op", bm)
 	}
 	pct := 100 * (im - bm) / bm
-	fmt.Fprintf(w, "obscheck: %s median %.0f ns/op, %s median %.0f ns/op, overhead %+.2f%% (budget %.2f%%, %d+%d samples)\n",
-		instr, im, base, bm, pct, maxPct, len(iv), len(bv))
+	is, bs := spread(iv), spread(bv)
+	noise := ""
+	if math.Abs(pct) < bs {
+		noise = ", within noise"
+	}
+	fmt.Fprintf(w, "obscheck: %s median %.0f ns/op (IQR/median %.2f%%), %s median %.0f ns/op (IQR/median %.2f%%), overhead %+.2f%% (budget %.2f%%, %d+%d samples)%s\n",
+		instr, im, is, base, bm, bs, pct, maxPct, len(iv), len(bv), noise)
 	if pct > maxPct {
 		return fmt.Errorf("instrumentation overhead %.2f%% exceeds the %.2f%% budget", pct, maxPct)
 	}
 	return nil
 }
 
-func median(v []float64) float64 {
+func median(v []float64) float64 { return quantile(v, 0.5) }
+
+// quantile returns the q-quantile of v, interpolating linearly between
+// the two nearest order statistics.
+func quantile(v []float64, q float64) float64 {
 	s := append([]float64(nil), v...)
 	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
+	pos := q * float64(len(s)-1)
+	i := int(pos)
+	if i+1 >= len(s) {
+		return s[len(s)-1]
 	}
-	return (s[n/2-1] + s[n/2]) / 2
+	return s[i] + (pos-float64(i))*(s[i+1]-s[i])
+}
+
+// spread is the interquartile range of v as a percentage of its median:
+// an overhead smaller than the baseline's spread cannot be told apart
+// from run-to-run noise.
+func spread(v []float64) float64 {
+	return 100 * (quantile(v, 0.75) - quantile(v, 0.25)) / median(v)
 }
 
 func names(m map[string][]float64) string {

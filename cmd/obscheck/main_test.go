@@ -42,6 +42,36 @@ func TestCheckWithinBudget(t *testing.T) {
 	if !strings.Contains(out.String(), "overhead +1.00%") {
 		t.Errorf("report missing overhead figure:\n%s", out.String())
 	}
+	// Baseline quartiles 39.9M and 40.1M: a 0.50% spread, below the
+	// 1.00% overhead, so the verdict is resolved.
+	if !strings.Contains(out.String(), "(IQR/median 0.50%), overhead") || strings.Contains(out.String(), "within noise") {
+		t.Errorf("report must print the baseline spread and no noise verdict:\n%s", out.String())
+	}
+}
+
+// An overhead smaller than the baseline's own interquartile spread is
+// reported as within noise; the budget still decides the exit status.
+func TestCheckWithinNoise(t *testing.T) {
+	in := stream(t,
+		"BenchmarkAnalyzeTreeParallel-8         \t      30\t  40400000 ns/op",
+		"BenchmarkAnalyzeTreeParallelBaseline-8 \t      30\t  38000000 ns/op",
+		"BenchmarkAnalyzeTreeParallelBaseline-8 \t      30\t  40000000 ns/op",
+		"BenchmarkAnalyzeTreeParallelBaseline-8 \t      30\t  42000000 ns/op",
+	)
+	var out strings.Builder
+	if err := check(strings.NewReader(in), &out,
+		"BenchmarkAnalyzeTreeParallel", "BenchmarkAnalyzeTreeParallelBaseline", 2.0); err != nil {
+		t.Fatalf("1%% overhead must pass a 2%% budget: %v", err)
+	}
+	want := "(IQR/median 0.00%), BenchmarkAnalyzeTreeParallelBaseline median 40000000 ns/op (IQR/median 5.00%), overhead +1.00%"
+	if !strings.Contains(out.String(), want) || !strings.HasSuffix(out.String(), ", within noise\n") {
+		t.Errorf("report must give both spreads and a within-noise verdict:\n%s", out.String())
+	}
+	err := check(strings.NewReader(in), &strings.Builder{},
+		"BenchmarkAnalyzeTreeParallel", "BenchmarkAnalyzeTreeParallelBaseline", 0.5)
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("over budget must fail even within noise, got %v", err)
+	}
 }
 
 func TestCheckOverBudget(t *testing.T) {

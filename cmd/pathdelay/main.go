@@ -106,22 +106,22 @@ func run(ctx context.Context, specPath, riseStr string) error {
 	if err != nil {
 		return fmt.Errorf("-rise: %w", err)
 	}
-	parseSpan, _ := obs.StartSpan(ctx, "parse")
+	parseStage, _ := obs.StartStage(ctx, "parse", nil)
 	stages, err := loadSpec(specPath)
 	if err != nil {
-		parseSpan.EndWith(guard.ClassName(err))
+		parseStage.End(guard.ClassName(err))
 		return err
 	}
-	parseSpan.SetSections(len(stages))
-	parseSpan.End()
-	analyzeSpan, _ := obs.StartSpan(ctx, "analyze")
+	parseStage.SetSections(len(stages))
+	parseStage.End("")
+	analyzeStage, _ := obs.StartStage(ctx, "analyze", nil)
 	res, err := timing.AnalyzePath(stages, rise)
 	if err != nil {
-		analyzeSpan.EndWith(guard.ClassName(err))
+		analyzeStage.End(guard.ClassName(err))
 		return err
 	}
-	analyzeSpan.SetSections(len(res.Stages))
-	analyzeSpan.End()
+	analyzeStage.SetSections(len(res.Stages))
+	analyzeStage.End("")
 	fmt.Printf("%-12s %8s %12s %12s %12s\n", "stage", "zeta", "delay[ps]", "rise[ps]", "arrival[ps]")
 	for _, sr := range res.Stages {
 		fmt.Printf("%-12s %8.3f %12.2f %12.2f %12.2f\n",

@@ -189,8 +189,8 @@ func runBatch(ctx context.Context, paths []string, opts batchOptions, errw io.Wr
 	outs := make([]bytes.Buffer, len(paths))
 	infos := make([]inputInfo, len(paths))
 	errs := engine.Batch(ctx, len(paths), opts.jobs, func(ctx context.Context, i int) error {
-		span, ctx := obs.StartSpan(ctx, "input")
-		span.SetLabel(paths[i])
+		st, ctx := obs.StartStage(ctx, "input", nil)
+		st.SetLabel(paths[i])
 		t0 := time.Now()
 		var err error
 		if opts.dot {
@@ -201,11 +201,11 @@ func runBatch(ctx context.Context, paths []string, opts batchOptions, errw io.Wr
 		infos[i].dur = time.Since(t0)
 		switch {
 		case err != nil:
-			span.EndWith(guard.ClassName(err))
+			st.End(guard.ClassName(err))
 		case infos[i].degraded > 0:
-			span.EndWith("degraded")
+			st.End("degraded")
 		default:
-			span.End()
+			st.End("")
 		}
 		return err
 	})
@@ -289,17 +289,17 @@ func run(ctx context.Context, eng *engine.Engine, w io.Writer, path string, opts
 	// Limits stage: resolve the input-bound policy this input is parsed
 	// under. Kept as an explicit pipeline stage so traces show where the
 	// guard layer's bounds come from.
-	limSpan, _ := obs.StartSpan(ctx, "limits")
+	limStage, _ := obs.StartStage(ctx, "limits", nil)
 	lim := guard.DefaultLimits.WithDefaults()
-	limSpan.End()
-	parseSpan, _ := obs.StartSpan(ctx, "parse")
+	limStage.End("")
+	parseStage, _ := obs.StartStage(ctx, "parse", nil)
 	tree, err := loadTree(path, opts.spef, opts.net, lim)
 	if err != nil {
-		parseSpan.EndWith(guard.ClassName(err))
+		parseStage.End(guard.ClassName(err))
 		return err
 	}
-	parseSpan.SetSections(tree.Len())
-	parseSpan.End()
+	parseStage.SetSections(tree.Len())
+	parseStage.End("")
 	if only != "" && tree.Section(only) == nil {
 		return fmt.Errorf("unknown node %q", only)
 	}
@@ -309,17 +309,17 @@ func run(ctx context.Context, eng *engine.Engine, w io.Writer, path string, opts
 	}
 	var simDelay map[string]float64
 	if simulate {
-		simSpan, sctx := obs.StartSpan(ctx, "simulate")
-		simSpan.SetSections(tree.Len())
+		simStage, sctx := obs.StartStage(ctx, "simulate", nil)
+		simStage.SetSections(tree.Len())
 		simDelay, err = simulateDelays(sctx, tree, analyses, vdd)
 		if err != nil {
-			simSpan.EndWith(guard.ClassName(err))
+			simStage.End(guard.ClassName(err))
 			return err
 		}
-		simSpan.End()
+		simStage.End("")
 	}
 
-	extractSpan, _ := obs.StartSpan(ctx, "metrics.extraction")
+	extractStage, _ := obs.StartStage(ctx, "metrics.extraction", nil)
 	fmt.Fprintf(w, "%-12s %9s %12s %11s %11s %10s %11s %11s", "node", "zeta", "omega_n", "delay50", "rise", "overshoot", "settle", "elmore50")
 	if simulate {
 		fmt.Fprintf(w, " %11s %8s", "sim50", "err%")
@@ -358,7 +358,7 @@ func run(ctx context.Context, eng *engine.Engine, w io.Writer, path string, opts
 	for reason, n := range degraded {
 		fmt.Fprintf(w, "note: %d node(s) degraded to the RC (Elmore) model: %s\n", n, reason)
 	}
-	extractSpan.End()
+	extractStage.End("")
 	return nil
 }
 

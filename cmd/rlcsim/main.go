@@ -162,14 +162,14 @@ func runAC(ctx context.Context, path string, fstart, fstop float64, points int, 
 }
 
 func runAdaptive(ctx context.Context, path, stopStr string, tol float64, nodeList string) error {
-	parseSpan, _ := obs.StartSpan(ctx, "parse")
+	parseStage, _ := obs.StartStage(ctx, "parse", nil)
 	deck, err := loadDeck(path)
 	if err != nil {
-		parseSpan.EndWith(guard.ClassName(err))
+		parseStage.End(guard.ClassName(err))
 		return err
 	}
-	parseSpan.SetSections(len(deck.Elements))
-	parseSpan.End()
+	parseStage.SetSections(len(deck.Elements))
+	parseStage.End("")
 	stop := 0.0
 	if stopStr != "" {
 		if stop, err = unit.Parse(stopStr); err != nil {
@@ -178,14 +178,14 @@ func runAdaptive(ctx context.Context, path, stopStr string, tol float64, nodeLis
 	} else if deck.Tran != nil {
 		stop = deck.Tran.Stop
 	}
-	simSpan, ctx := obs.StartSpan(ctx, "simulate")
+	simStage, ctx := obs.StartStage(ctx, "simulate", nil)
 	res, stats, err := transim.SimulateAdaptiveCtx(ctx, deck, transim.AdaptiveOptions{Stop: stop, Tol: tol})
 	if err != nil {
-		simSpan.EndWith(guard.ClassName(err))
+		simStage.End(guard.ClassName(err))
 		return err
 	}
-	simSpan.SetSections(len(res.Time))
-	simSpan.End()
+	simStage.SetSections(len(res.Time))
+	simStage.End("")
 	nodes, _, err := selectNodes(deck, nodeList)
 	if err != nil {
 		return err
@@ -249,14 +249,14 @@ func selectNodes(deck *circuit.Deck, nodeList string) ([]string, []circuit.NodeI
 }
 
 func run(ctx context.Context, path, stepStr, stopStr, method, nodeList string, stride int) error {
-	parseSpan, _ := obs.StartSpan(ctx, "parse")
+	parseStage, _ := obs.StartStage(ctx, "parse", nil)
 	deck, err := loadDeck(path)
 	if err != nil {
-		parseSpan.EndWith(guard.ClassName(err))
+		parseStage.End(guard.ClassName(err))
 		return err
 	}
-	parseSpan.SetSections(len(deck.Elements))
-	parseSpan.End()
+	parseStage.SetSections(len(deck.Elements))
+	parseStage.End("")
 	opt := transim.Options{}
 	switch method {
 	case "trap":
@@ -284,14 +284,14 @@ func run(ctx context.Context, path, stepStr, stopStr, method, nodeList string, s
 		return fmt.Errorf("-stride must be ≥ 1")
 	}
 
-	simSpan, ctx := obs.StartSpan(ctx, "simulate")
+	simStage, ctx := obs.StartStage(ctx, "simulate", nil)
 	res, err := transim.SimulateCtx(ctx, deck, opt)
 	if err != nil {
-		simSpan.EndWith(guard.ClassName(err))
+		simStage.End(guard.ClassName(err))
 		return err
 	}
-	simSpan.SetSections(len(res.Time))
-	simSpan.End()
+	simStage.SetSections(len(res.Time))
+	simStage.End("")
 
 	var nodes []string
 	if nodeList != "" {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"time"
 
 	"eedtree/internal/guard"
 	"eedtree/internal/obs"
@@ -70,51 +69,58 @@ func AnalyzeTreeCtx(ctx context.Context, t *rlctree.Tree) ([]NodeAnalysis, error
 	if err := guard.Check(ctx); err != nil {
 		return nil, err
 	}
-	// Instrumentation is per-sweep, never per-node: two clock reads and a
-	// couple of histogram records for the whole tree, so the closed-form
-	// kernel stays as fast as the uninstrumented baseline.
-	track := obs.On()
-	var t0 time.Time
-	sumsSpan, _ := obs.StartSpan(ctx, "sums")
-	sumsSpan.SetSections(n)
-	if track {
-		t0 = time.Now()
-	}
-	sums := t.ElmoreSums()
-	if track {
-		mSumsLatency.ObserveSince(t0)
-	}
-	sumsSpan.End()
-	sweepSpan, _ := obs.StartSpan(ctx, "sweep")
-	sweepSpan.SetSections(n)
-	sweepSpan.SetWorkers(1)
-	if track {
-		t0 = time.Now()
-	}
+	sums := ElmoreSums(ctx, t)
+	sweep := StartSweep(ctx, n, 1)
 	out := make([]NodeAnalysis, n)
 	for i, s := range t.Sections() {
 		if i%analyzeCheckEvery == 0 {
 			if err := guard.Check(ctx); err != nil {
-				sweepSpan.EndWith(guard.ClassName(err))
+				EndSweep(&sweep, nil, err)
 				return nil, err
 			}
 		}
 		na, err := AnalyzeNodeSums(sums, s)
 		if err != nil {
-			sweepSpan.EndWith(guard.ClassName(err))
+			EndSweep(&sweep, nil, err)
 			return nil, err
 		}
 		out[i] = na
 	}
-	outcome := "ok"
-	if track {
-		mKernelLatency.ObserveSince(t0)
-		if RecordDegraded(out) > 0 {
-			outcome = "degraded"
-		}
-	}
-	sweepSpan.EndWith(outcome)
+	EndSweep(&sweep, out, nil)
 	return out, nil
+}
+
+// ElmoreSums runs the two O(n) summation passes of the paper's Appendix
+// (rlctree.Tree.ElmoreSums) as the "sums" stage under ctx. Timing is per
+// pass, never per node: the serial sweep and the engine's sharded sweep
+// both call it once per tree.
+func ElmoreSums(ctx context.Context, t *rlctree.Tree) rlctree.Sums {
+	st, _ := obs.StartStage(ctx, "sums", mSumsLatency)
+	st.SetSections(t.Len())
+	sums := t.ElmoreSums()
+	st.End("")
+	return sums
+}
+
+// StartSweep opens the "sweep" stage of a per-node kernel loop over n
+// sections on the given number of workers. Close it with EndSweep.
+func StartSweep(ctx context.Context, n, workers int) obs.Stage {
+	st, _ := obs.StartStage(ctx, "sweep", mKernelLatency)
+	st.SetSections(n)
+	st.SetWorkers(workers)
+	return st
+}
+
+// EndSweep closes a sweep stage: with err's guard class when the sweep
+// failed, otherwise with "degraded" when any node of out fell back to
+// the RC model. The degraded tally is O(n), so it runs once per sweep
+// and only while instrumentation is on.
+func EndSweep(st *obs.Stage, out []NodeAnalysis, err error) {
+	outcome := guard.ClassName(err)
+	if err == nil && obs.On() && recordDegraded(out) > 0 {
+		outcome = "degraded"
+	}
+	st.End(outcome)
 }
 
 // AnalyzeNodeSums computes the characterization for a single section from

@@ -38,18 +38,23 @@ func TestRefitDelayFitAccuracy(t *testing.T) {
 	}
 }
 
-// TestRefitRiseFitAccuracy: the re-derived eq.-(34) coefficients must stay
-// within 4% of the exact scaled rise time for ζ ≥ 0.15 (see metrics.go).
+// TestRefitRiseFitAccuracy: the re-derived eq.-(34) coefficients peak at
+// the 4.02% relative error (ζ = 0.23) that RefitRiseFit's comment states,
+// over the 0.01 grid ζ = k/100, k = 15…500 (see metrics.go).
 func TestRefitRiseFitAccuracy(t *testing.T) {
-	for z := 0.15; z <= 5; z += 0.05 {
+	worst, worstK := 0.0, 0
+	for k := 15; k <= 500; k++ {
+		z := float64(k) / 100
 		exact, err := ScaledRiseNumeric(z)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := RefitRiseFit.Scaled(z)
-		if rel := math.Abs(got-exact) / exact; rel > 0.04 {
-			t.Fatalf("ζ=%.2f: rise fit %g vs exact %g (%.1f%% error)", z, got, exact, rel*100)
+		if rel := math.Abs(RefitRiseFit.Scaled(z)-exact) / exact; rel > worst {
+			worst, worstK = rel, k
 		}
+	}
+	if pct := math.Round(worst * 1e4); pct != 402 || worstK != 23 {
+		t.Errorf("rise fit error peaks at %.4f%% (ζ = %.2f), want 4.02%% at ζ = 0.23", worst*100, float64(worstK)/100)
 	}
 }
 

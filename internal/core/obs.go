@@ -2,9 +2,9 @@ package core
 
 import "eedtree/internal/obs"
 
-// Registry metrics for the analysis kernels. The engine's parallel sweep
-// records into the same two latency histograms by name (the default
-// registry deduplicates), so "sums pass vs per-node kernel" timing covers
+// Registry metrics for the analysis kernels. The serial sweep and the
+// engine's sharded sweep both time their passes through ElmoreSums and
+// StartSweep/EndSweep, so "sums pass vs per-node kernel" timing covers
 // both execution paths.
 var (
 	mSumsLatency = obs.Default().Histogram("eed_core_sums_latency_ns",
@@ -41,11 +41,11 @@ func countDegraded(out []NodeAnalysis) (zeroL, nonPhys, degen int) {
 	return
 }
 
-// RecordDegraded bumps the degraded-to-RC counters for one completed
-// sweep and returns the total number of degraded nodes. Both the serial
-// sweep and the engine's parallel sweep call it once per analysis, so the
-// per-node tallying stays out of the hot kernel.
-func RecordDegraded(out []NodeAnalysis) int {
+// recordDegraded bumps the degraded-to-RC counters for one completed
+// sweep and returns the total number of degraded nodes. EndSweep calls it
+// once per analysis, so the per-node tallying stays out of the hot
+// kernel.
+func recordDegraded(out []NodeAnalysis) int {
 	zeroL, nonPhys, degen := countDegraded(out)
 	if zeroL > 0 {
 		mDegradedZeroL.Add(uint64(zeroL))

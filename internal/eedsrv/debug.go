@@ -22,9 +22,7 @@ import (
 // draining server is exactly when the debug view matters, so it must not
 // queue behind the requests it is describing.
 func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
-	if obs.On() {
-		endpointCounter("/v1/debug/requests").Inc()
-	}
+	endpointCounter("/v1/debug/requests").Inc()
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", "GET")
 		writeError(w, &apiErr{status: http.StatusMethodNotAllowed, class: "method",
@@ -57,9 +55,7 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 // of slow and failed requests, each with its span tree when the request
 // was traced, newest first.
 func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
-	if obs.On() {
-		endpointCounter("/v1/debug/slow").Inc()
-	}
+	endpointCounter("/v1/debug/slow").Inc()
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", "GET")
 		writeError(w, &apiErr{status: http.StatusMethodNotAllowed, class: "method",

@@ -5,7 +5,6 @@ import (
 
 	"eedtree/internal/faultinj"
 	"eedtree/internal/guard"
-	"eedtree/internal/obs"
 )
 
 // handleFaults serves the test-only /v1/faults admin endpoint (mounted
@@ -20,9 +19,7 @@ import (
 // stalled handler the plan itself caused). The body-size cap still
 // applies.
 func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
-	if obs.On() {
-		endpointCounter("/v1/faults").Inc()
-	}
+	endpointCounter("/v1/faults").Inc()
 	switch r.Method {
 	case http.MethodGet:
 		writeJSON(w, http.StatusOK, faultsView())

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"eedtree/internal/engine"
 	"eedtree/internal/obs"
 )
 
@@ -112,34 +113,59 @@ func TestEveryResponsePathEmitsOneWideEvent(t *testing.T) {
 	}
 }
 
-// TestSuccessEventAnnotations pins what a healthy /v1/delay event must
-// carry: resolved net, registry outcome, and the resolve+analyze stages.
+// TestSuccessEventAnnotations pins what a healthy event of each route
+// carries: exactly its top-level stages, in order — never a nested layer
+// (sums, sweep, incr.edit_analyze) — summing to no more than the event's
+// total, and for routes that resolve a net the fingerprint and registry
+// outcome. It runs with and without span tracing, since nested stages
+// open spans only when a trace is attached.
 func TestSuccessEventAnnotations(t *testing.T) {
-	s, fr := newFlightServer(t, Options{})
-	if code, raw := do(t, s, "POST", "/v1/delay", DelayRequest{Tree: balanced7, Node: "s7"}); code != 200 {
-		t.Fatalf("delay: status %d: %s", code, raw)
+	edit := EditRequest{Tree: balanced7, Edits: []EditSpec{{Node: "s2", Elem: "C", Value: 60e-15}}, Node: "s7"}
+	steps := []struct {
+		name   string
+		path   string
+		body   any
+		stages string
+		cache  string
+		want   engine.CacheStats // the engine's session-result counters after the step
+	}{
+		{"register", "/v1/nets", RegisterRequest{Tree: balanced7}, "resolve", "miss", engine.CacheStats{}},
+		{"delay", "/v1/delay", DelayRequest{Tree: balanced7, Node: "s7"}, "resolve,analyze", "hit", engine.CacheStats{}},
+		{"analyze sweeps", "/v1/analyze", AnalyzeRequest{Tree: balanced7}, "resolve,analyze", "hit", engine.CacheStats{Misses: 1}},
+		{"analyze held", "/v1/analyze", AnalyzeRequest{Tree: balanced7}, "resolve,analyze", "hit", engine.CacheStats{Hits: 1, Misses: 1}},
+		{"edit", "/v1/edit", edit, "resolve,edit", "hit", engine.CacheStats{Hits: 1, Misses: 1}},
+		{"batch", "/v1/batch", BatchRequest{Items: []BatchItem{{Tree: balanced7, Node: "s7"}, {Tree: balanced7}}}, "batch", "", engine.CacheStats{Hits: 1, Misses: 2}},
 	}
-	ev := fr.Snapshot(obs.Filter{})[0]
-	if ev.Net == "" {
-		t.Error("event has no resolved net fingerprint")
-	}
-	if ev.Cache != "miss" {
-		t.Errorf("first registration cache = %q, want miss", ev.Cache)
-	}
-	var names []string
-	for _, sd := range ev.Stages() {
-		names = append(names, sd.Name)
-	}
-	if got := strings.Join(names, ","); got != "analyze,resolve" && got != "resolve,analyze" {
-		t.Errorf("stages = %q, want resolve and analyze", got)
-	}
-
-	// Same tree again: the registry hit must be visible on the new event.
-	if code, _ := do(t, s, "POST", "/v1/delay", DelayRequest{Tree: balanced7, Node: "s7"}); code != 200 {
-		t.Fatal("second delay failed")
-	}
-	if ev := fr.Snapshot(obs.Filter{})[0]; ev.Cache != "hit" {
-		t.Errorf("re-registration cache = %q, want hit", ev.Cache)
+	for _, debug := range []bool{false, true} {
+		eng := engine.New(engine.Options{Workers: 2})
+		s, fr := newFlightServer(t, Options{Engine: eng, DebugRequests: debug})
+		for _, st := range steps {
+			if code, raw := do(t, s, "POST", st.path, st.body); code != 200 {
+				t.Fatalf("debug=%v %s: status %d: %s", debug, st.name, code, raw)
+			}
+			ev := fr.Snapshot(obs.Filter{})[0]
+			var names []string
+			var sum int64
+			for _, sd := range ev.Stages() {
+				names = append(names, sd.Name)
+				sum += sd.NS
+			}
+			if got := strings.Join(names, ","); got != st.stages {
+				t.Errorf("debug=%v %s: stages = %q, want %q", debug, st.name, got, st.stages)
+			}
+			if sum > ev.TotalNS {
+				t.Errorf("debug=%v %s: stages sum to %d ns, past the event's %d ns total", debug, st.name, sum, ev.TotalNS)
+			}
+			if ev.Cache != st.cache {
+				t.Errorf("debug=%v %s: cache = %q, want %q", debug, st.name, ev.Cache, st.cache)
+			}
+			if (ev.Net == "") != (st.cache == "") {
+				t.Errorf("debug=%v %s: net = %q, want a fingerprint exactly when the route resolves one", debug, st.name, ev.Net)
+			}
+			if got := eng.CacheStats(); got != st.want {
+				t.Errorf("debug=%v %s: engine CacheStats = %+v, want %+v", debug, st.name, got, st.want)
+			}
+		}
 	}
 }
 

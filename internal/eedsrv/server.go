@@ -267,9 +267,7 @@ func writeError(w http.ResponseWriter, err error) {
 		ew.ev.SetClass(ae.Class)
 		ew.ev.SetErr(err)
 	}
-	if obs.On() {
-		endpointErrors(ae.Class).Inc()
-	}
+	endpointErrors(ae.Class).Inc()
 	writeJSON(w, ae.Status, ErrorResponse{Error: ae})
 }
 
@@ -400,11 +398,11 @@ func (s *Server) logRequest(ev *obs.WideEvent) {
 func (s *Server) analysis(endpoint string, h func(ctx context.Context, w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
 	requests := endpointRequests(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
+		// track keeps each gauge's Inc and Dec on the same side of a
+		// SetEnabled flip during the request.
 		track := obs.On()
 		t0 := s.clock()
-		if track {
-			requests().Inc()
-		}
+		requests().Inc()
 		rid, attempt := s.requestID(r)
 		w.Header().Set(HeaderRequestID, rid)
 		ev := obs.WideEvent{StartNS: t0.UnixNano(), RequestID: rid, Attempt: attempt, Route: endpoint}
@@ -417,6 +415,7 @@ func (s *Server) analysis(endpoint string, h func(ctx context.Context, w http.Re
 			tr.Root().SetLabel(rid)
 		}
 		ew := &eventWriter{ResponseWriter: w, ev: &ev}
+		ran := false // the request held a worker slot
 		defer func() {
 			p := recover()
 			if p != nil && p != http.ErrAbortHandler {
@@ -439,6 +438,9 @@ func (s *Server) analysis(endpoint string, h func(ctx context.Context, w http.Re
 				ev.Err = "connection aborted (http.ErrAbortHandler)"
 			}
 			ev.TotalNS = int64(s.clock().Sub(t0))
+			if ran {
+				mLatency.Observe(ev.TotalNS)
+			}
 			if tr != nil {
 				tr.Finish()
 			}
@@ -455,9 +457,7 @@ func (s *Server) analysis(endpoint string, h func(ctx context.Context, w http.Re
 			return
 		}
 		if s.draining.Load() {
-			if track {
-				mRejectedDrain.Inc()
-			}
+			mRejectedDrain.Inc()
 			writeError(ew, &apiErr{status: http.StatusServiceUnavailable, class: "draining",
 				message:    "server is draining; retry against another instance",
 				retryAfter: s.retrySecs})
@@ -495,6 +495,7 @@ func (s *Server) analysis(endpoint string, h func(ctx context.Context, w http.Re
 			return
 		}
 		s.inflight.Add(1)
+		ran = true
 		if track {
 			mInflight.Inc()
 		}
@@ -503,7 +504,6 @@ func (s *Server) analysis(endpoint string, h func(ctx context.Context, w http.Re
 			s.inflight.Add(-1)
 			if track {
 				mInflight.Dec()
-				mLatency.ObserveSince(t0)
 			}
 		}()
 		// Fault-injection points, armed only under an active faultinj plan
@@ -546,57 +546,55 @@ func (s *Server) analysis(endpoint string, h func(ctx context.Context, w http.Re
 // resolveNet materializes the net a request names: an inline tree is
 // parsed under the server's limits and registered (warm for the next
 // call), a fingerprint is looked up among the resident nets. Exactly one
-// of the two must be given. The request's wide event (carried by ctx, if
-// any) is annotated with the resolved fingerprint, the registry hit/miss
-// outcome, and the parse/resolve stage timing.
+// of the two must be given. It runs as the "resolve" stage, whose
+// outcome is the registry's "hit" or "miss" ("parse" for a malformed
+// request); the request's wide event (carried by ctx, if any) is
+// annotated with the resolved fingerprint and the same registry outcome.
 func (s *Server) resolveNet(ctx context.Context, treeText, netHex string) (*engine.Resident, error) {
+	st, _ := obs.StartStage(ctx, "resolve", nil)
+	outcome := "parse"
+	defer func() { st.End(outcome) }()
 	ev := obs.EventFrom(ctx)
-	sp, _ := obs.StartSpan(ctx, "resolve")
-	rt0 := time.Now()
-	defer func() { ev.AddStage("resolve", time.Since(rt0)) }()
 	switch {
 	case treeText != "" && netHex != "":
-		sp.EndWith("parse")
 		return nil, guard.Newf(guard.ErrParse, "eedsrv", `request names both "tree" and "net"; give exactly one`)
 	case treeText != "":
 		tree, err := rlctree.ParseLimits(strings.NewReader(treeText), s.opts.Limits)
 		if err != nil {
-			sp.EndWith("parse")
 			return nil, err
 		}
 		res, hit, err := s.reg.PutInfo(tree)
 		if err != nil {
-			sp.EndWith(guard.ClassName(err))
+			outcome = guard.ClassName(err)
 			return nil, err
 		}
 		ev.SetNet(fingerprintHex(tree.Fingerprint()))
-		if hit {
-			ev.SetCache("hit")
-			sp.EndWith("hit")
-		} else {
-			ev.SetCache("miss")
-			sp.EndWith("miss")
-		}
+		outcome = registryOutcome(hit)
+		ev.SetCache(outcome)
 		return res, nil
 	case netHex != "":
 		fp, err := parseFingerprint(netHex)
 		if err != nil {
-			sp.EndWith("parse")
 			return nil, err
 		}
 		ev.SetNet(netHex)
 		res, ok := s.reg.Lookup(fp)
+		outcome = registryOutcome(ok)
+		ev.SetCache(outcome)
 		if !ok {
-			ev.SetCache("miss")
-			sp.EndWith("miss")
 			return nil, errNotFound("net %s is not resident (never registered, evicted, or re-keyed by edits)", netHex)
 		}
-		ev.SetCache("hit")
-		sp.EndWith("hit")
 		return res, nil
 	}
-	sp.EndWith("parse")
 	return nil, guard.Newf(guard.ErrParse, "eedsrv", `request names no net: give "tree" (inline text) or "net" (fingerprint)`)
+}
+
+// registryOutcome names a registry lookup's result.
+func registryOutcome(hit bool) string {
+	if hit {
+		return "hit"
+	}
+	return "miss"
 }
 
 // parseFingerprint decodes the 64-hex-digit wire form of a fingerprint.
@@ -643,9 +641,7 @@ func (s *Server) netsHandler() http.HandlerFunc {
 		case http.MethodPost:
 			register(w, r)
 		case http.MethodGet:
-			if obs.On() {
-				requests().Inc()
-			}
+			requests().Inc()
 			st := s.reg.Stats()
 			resp := RegistryResponse{
 				Capacity:  st.Capacity,
@@ -706,15 +702,12 @@ func (s *Server) handleDelay(ctx context.Context, w http.ResponseWriter, r *http
 		if sink == nil {
 			return errNotFound("net has no node %q", req.Node)
 		}
-		sp, _ := obs.StartSpan(ctx, "analyze")
-		at0 := time.Now()
+		st, _ := obs.StartStage(ctx, "analyze", nil)
 		na, err := sess.AnalyzeAt(sink)
-		obs.EventFrom(ctx).AddStage("analyze", time.Since(at0))
+		st.End(guard.ClassName(err))
 		if err != nil {
-			sp.EndWith(guard.ClassName(err))
 			return err
 		}
-		sp.End()
 		annotateDegraded(ctx, na)
 		resp = DelayResponse{Net: fingerprintHex(tr.Fingerprint()), Result: NodeResultOf(na)}
 		return nil
@@ -739,16 +732,13 @@ func (s *Server) handleAnalyze(ctx context.Context, w http.ResponseWriter, r *ht
 	}
 	var resp AnalyzeResponse
 	err = res.Do(func(sess *engine.Session, tr *rlctree.Tree) error {
-		sp, _ := obs.StartSpan(ctx, "analyze")
-		sp.SetSections(tr.Len())
-		at0 := time.Now()
+		st, _ := obs.StartStage(ctx, "analyze", nil)
+		st.SetSections(tr.Len())
 		analyses, err := sess.Analyze(ctx)
-		obs.EventFrom(ctx).AddStage("analyze", time.Since(at0))
+		st.End(guard.ClassName(err))
 		if err != nil {
-			sp.EndWith(guard.ClassName(err))
 			return err
 		}
-		sp.End()
 		resp = AnalyzeResponse{Net: fingerprintHex(tr.Fingerprint()), Nodes: make([]NodeResult, 0, len(analyses))}
 		for _, na := range analyses {
 			annotateDegraded(ctx, na)
@@ -818,16 +808,13 @@ func (s *Server) handleEdit(ctx context.Context, w http.ResponseWriter, r *http.
 		if sink == nil {
 			return errNotFound("net has no node %q", req.Node)
 		}
-		sp, _ := obs.StartSpan(ctx, "edit")
-		sp.SetSections(len(edits))
-		et0 := time.Now()
+		st, _ := obs.StartStage(ctx, "edit", nil)
+		st.SetSections(len(edits))
 		na, err := sess.EditAndAnalyze(ctx, edits, sink)
-		obs.EventFrom(ctx).AddStage("edit", time.Since(et0))
+		st.End(guard.ClassName(err))
 		if err != nil {
-			sp.EndWith(guard.ClassName(err))
 			return err
 		}
-		sp.End()
 		annotateDegraded(ctx, na)
 		resp.Applied = len(edits)
 		resp.Result = NodeResultOf(na)
@@ -856,9 +843,11 @@ func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, r *http
 	}
 	results := make([]BatchResult, len(req.Items))
 	// Items run concurrently: detach the request's wide event so per-item
-	// annotations cannot race on it. The batch stage below still times
-	// the fan-out as a whole.
-	bt0 := time.Now()
+	// annotations cannot race on it. The batch stage still times the
+	// fan-out as a whole; it starts from a context carrying the event
+	// alone, so the items' spans stay directly under the request's root.
+	ev := obs.EventFrom(ctx)
+	st, _ := obs.StartStage(obs.WithEvent(context.Background(), ev), "batch", nil)
 	bctx := obs.DetachEvent(ctx)
 	errs := engine.Batch(bctx, len(req.Items), req.Workers, func(ctx context.Context, i int) error {
 		item := req.Items[i]
@@ -893,8 +882,7 @@ func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, r *http
 			return nil
 		})
 	})
-	ev := obs.EventFrom(ctx)
-	ev.AddStage("batch", time.Since(bt0))
+	st.End("")
 	resp := BatchResponse{Results: results}
 	for i, err := range errs {
 		if err != nil {

@@ -54,15 +54,17 @@ func Batch(ctx context.Context, n, workers int, fn func(ctx context.Context, i i
 	// Queue-depth accounting: every task starts queued; a task moves from
 	// queued to in-flight when it begins executing. One gauge add up
 	// front, two gauge moves per task — nothing on the per-node hot path.
+	// track is read once so every Inc meets its Dec across a SetEnabled
+	// flip.
 	track := obs.On()
 	if track {
 		mBatchQueued.Add(int64(n))
 	}
 	runOne := func(ctx context.Context, i int) error {
+		mBatchTasks.Inc()
 		if track {
 			mBatchQueued.Dec()
 			mBatchInflight.Inc()
-			mBatchTasks.Inc()
 			defer mBatchInflight.Dec()
 		}
 		// Fault injection: one task's injected cancellation must not

@@ -26,7 +26,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"eedtree/internal/core"
 	"eedtree/internal/guard"
@@ -98,38 +97,18 @@ func (e *Engine) AnalyzeTree(ctx context.Context, t *rlctree.Tree) ([]core.NodeA
 	// records amortized over the whole tree), never per-node, so the
 	// kernel loop below runs exactly as fast as the uninstrumented
 	// baseline — the invariant `make obs-check` enforces.
-	track := obs.On()
-	var t0 time.Time
-	if track {
-		t0 = time.Now()
-	}
+	lat := obs.Time(mSweepLatency)
 	if workers == 1 || n < parallelThreshold {
 		out, err := core.AnalyzeTreeCtx(ctx, t)
-		if track && err == nil {
+		if err == nil {
 			mSweepWorkers.Observe(1)
-			mSweepLatency.ObserveSince(t0)
+			lat.End("")
 		}
 		return out, err
 	}
 
-	sumsSpan, _ := obs.StartSpan(ctx, "sums")
-	sumsSpan.SetSections(n)
-	var tSums time.Time
-	if track {
-		tSums = time.Now()
-	}
-	sums := t.ElmoreSums()
-	if track {
-		mCoreSumsLatency.ObserveSince(tSums)
-	}
-	sumsSpan.End()
-	sweepSpan, _ := obs.StartSpan(ctx, "sweep")
-	sweepSpan.SetSections(n)
-	sweepSpan.SetWorkers(workers)
-	var tKernel time.Time
-	if track {
-		tKernel = time.Now()
-	}
+	sums := core.ElmoreSums(ctx, t)
+	sweep := core.StartSweep(ctx, n, workers)
 	secs := t.Sections()
 	out := make([]core.NodeAnalysis, n)
 
@@ -182,19 +161,12 @@ func (e *Engine) AnalyzeTree(ctx context.Context, t *rlctree.Tree) ([]core.NodeA
 		}
 	}
 	if first >= 0 {
-		sweepSpan.EndWith(guard.ClassName(errs[first]))
+		core.EndSweep(&sweep, nil, errs[first])
 		return nil, errs[first]
 	}
-	outcome := "ok"
-	if track {
-		mCoreKernelLatency.ObserveSince(tKernel)
-		mSweepWorkers.Observe(int64(workers))
-		mSweepLatency.ObserveSince(t0)
-		if core.RecordDegraded(out) > 0 {
-			outcome = "degraded"
-		}
-	}
-	sweepSpan.EndWith(outcome)
+	core.EndSweep(&sweep, out, nil)
+	mSweepWorkers.Observe(int64(workers))
+	lat.End("")
 	return out, nil
 }
 

@@ -98,15 +98,4 @@ var (
 		obs.DefaultLatencyBuckets)
 	mPipePeakRSS = obs.Default().Gauge("eed_pipe_peak_rss_bytes",
 		"Process peak RSS (VmHWM) sampled at the end of the last pipeline run.")
-
-	// The parallel path performs the same sums pass and per-node kernel
-	// loop as internal/core's serial sweep, so it records into the same
-	// core-owned histograms (same names resolve to the same metrics in
-	// the default registry).
-	mCoreSumsLatency = obs.Default().Histogram("eed_core_sums_latency_ns",
-		"Wall time of the two O(n) Elmore summation passes, nanoseconds.",
-		obs.DefaultLatencyBuckets)
-	mCoreKernelLatency = obs.Default().Histogram("eed_core_kernel_latency_ns",
-		"Wall time of the per-node closed-form kernel loop over one tree, nanoseconds.",
-		obs.DefaultLatencyBuckets)
 )

@@ -100,6 +100,9 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 	if depth <= 0 {
 		depth = 2 * workers
 	}
+	// track gates the work that exists for instrumentation alone: the
+	// queue gauges' paired Inc/Dec (read once, so a flip mid-run cannot
+	// unbalance them) and each net's wide event.
 	track := obs.On()
 	t0 := time.Now()
 
@@ -122,10 +125,7 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 		defer close(jobs)
 		s := spef.StreamLimits(r, cfg.Limits)
 		for i := 0; ; i++ {
-			var tParse time.Time
-			if track {
-				tParse = time.Now()
-			}
+			lat := obs.Time(mPipeParseLatency)
 			n, err := s.Next()
 			if err == io.EOF {
 				return
@@ -135,9 +135,9 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 				cancel()
 				return
 			}
+			lat.End("")
+			mPipeNetsParsed.Inc()
 			if track {
-				mPipeParseLatency.ObserveSince(tParse)
-				mPipeNetsParsed.Inc()
 				mPipeParseQueue.Inc()
 				mPipeInflight.Inc()
 			}
@@ -166,11 +166,22 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 		wgWork.Add(1)
 		go func() {
 			defer wgWork.Done()
+			// One wide event per worker, reset for each net: failed nets
+			// land in the flight recorder's capture buffer (Status 0 +
+			// Class counts as interesting), healthy ones ride the ring for
+			// /v1/debug style dumps. Its context carries the event alone,
+			// so the net's "analyze" stage writes the event and its
+			// histogram but no span: a trace keeps the per-net sums and
+			// sweep spans directly under the caller's.
+			evCtx := context.Background()
+			if track {
+				evCtx = obs.WithEvent(evCtx, &obs.WideEvent{})
+			}
 			for job := range jobs {
 				if track {
 					mPipeParseQueue.Dec()
 				}
-				res := analyzeOne(ctx, job, track)
+				res := analyzeOne(ctx, evCtx, job)
 				if track {
 					mPipeResultQueue.Inc()
 				}
@@ -202,9 +213,7 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 		if res.Err != nil {
 			stats.Failed++
 			stats.FailedByClass[guard.ClassName(res.Err)]++
-			if track {
-				mPipeNetFailures.Inc()
-			}
+			mPipeNetFailures.Inc()
 		} else {
 			stats.Nets++
 			stats.Sections += res.Summary.Sections
@@ -262,11 +271,9 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 	if secs := stats.Wall.Seconds(); secs > 0 {
 		stats.NetsPerSec = float64(stats.Nets+stats.Failed) / secs
 	}
-	if track {
-		mPipeWall.ObserveSince(t0)
-		if stats.PeakRSS > 0 {
-			mPipePeakRSS.Set(int64(stats.PeakRSS))
-		}
+	mPipeWall.Observe(int64(stats.Wall))
+	if stats.PeakRSS > 0 {
+		mPipePeakRSS.Set(int64(stats.PeakRSS))
 	}
 
 	var err error
@@ -296,14 +303,19 @@ func AnalyzeNet(ctx context.Context, net *spef.Net, units spef.Units) (timing.Ne
 	return timing.SummarizeNet(net.Name, nodes)
 }
 
-// analyzeOne runs one net through AnalyzeNet, recycling the net on every
-// path (the net must not be touched after this call).
-func analyzeOne(ctx context.Context, job pipeJob, track bool) NetResult {
+// analyzeOne runs one net through AnalyzeNet under ctx, recycling the net
+// on every path (the net must not be touched after this call). The net's
+// "analyze" stage starts from evCtx; the wide event evCtx carries, if
+// any, is reset for this net, stamped by the stage, and recorded in the
+// flight recorder with the stage's duration as its total.
+func analyzeOne(ctx, evCtx context.Context, job pipeJob) NetResult {
 	res := NetResult{Index: job.index, Net: job.net.Name}
-	var tA time.Time
-	if track {
-		tA = time.Now()
+	ev := obs.EventFrom(evCtx)
+	if ev != nil {
+		// job.net is recycled below; res captured the name.
+		*ev = obs.WideEvent{Route: "pipeline.net", Net: res.Net}
 	}
+	st, _ := obs.StartStage(evCtx, "analyze", mPipeAnalyzeLatency)
 	err := guard.Run(ctx, func(ctx context.Context) error {
 		var err error
 		res.Summary, err = AnalyzeNet(ctx, job.net, job.units)
@@ -311,26 +323,12 @@ func analyzeOne(ctx context.Context, job pipeJob, track bool) NetResult {
 	})
 	spef.RecycleNet(job.net)
 	res.Err = err
-	if track {
-		mPipeAnalyzeLatency.ObserveSince(tA)
-		// One wide event per pipeline unit of work: failed nets land in
-		// the flight recorder's capture buffer (Status 0 + Class counts
-		// as interesting), healthy ones ride the ring for /v1/debug
-		// style dumps. Gated on track so the dormant hot path stays at
-		// zero flight-recorder cost.
-		dur := time.Since(tA).Nanoseconds()
-		ev := obs.WideEvent{
-			StartNS: tA.UnixNano(),
-			Route:   "pipeline.net",
-			Net:     res.Net, // job.net is recycled; res captured the name
-			TotalNS: dur,
-		}
-		ev.AddStage("analyze", time.Duration(dur))
-		if err != nil {
-			ev.Class = guard.ClassName(err)
-			ev.Err = err.Error()
-		}
-		obs.DefaultFlight().Record(&ev, nil)
+	d := st.End(guard.ClassName(err))
+	if ev != nil {
+		ev.TotalNS = int64(d)
+		ev.SetClass(guard.ClassName(err))
+		ev.SetErr(err)
+		obs.DefaultFlight().Record(ev, nil)
 	}
 	return res
 }

@@ -6,7 +6,6 @@ import (
 
 	"eedtree/internal/faultinj"
 	"eedtree/internal/guard"
-	"eedtree/internal/obs"
 	"eedtree/internal/rlctree"
 )
 
@@ -123,17 +122,13 @@ func (r *Registry) PutInfo(t *rlctree.Tree) (*Resident, bool, error) {
 	if el, ok := r.byKey[fp]; ok {
 		r.order.MoveToFront(el)
 		r.hits++
-		if obs.On() {
-			mRegistryHits.Inc()
-		}
+		mRegistryHits.Inc()
 		res := el.Value.(*Resident)
 		r.mu.Unlock()
 		return res, true, nil
 	}
 	r.misses++
-	if obs.On() {
-		mRegistryMisses.Inc()
-	}
+	mRegistryMisses.Inc()
 	r.mu.Unlock()
 
 	// Build the session outside the index lock: incr.New is O(n) and must
@@ -151,17 +146,13 @@ func (r *Registry) PutInfo(t *rlctree.Tree) (*Resident, bool, error) {
 	if el, ok := r.byKey[fp]; ok {
 		r.order.MoveToFront(el)
 		r.hits++
-		if obs.On() {
-			mRegistryHits.Inc()
-		}
+		mRegistryHits.Inc()
 		return el.Value.(*Resident), true, nil
 	}
 	res.elem = r.order.PushFront(res)
 	r.byKey[fp] = res.elem
 	r.evictOverflowLocked()
-	if obs.On() {
-		mRegistryNets.Set(int64(r.order.Len()))
-	}
+	mRegistryNets.Set(int64(r.order.Len()))
 	return res, false, nil
 }
 
@@ -179,15 +170,11 @@ func (r *Registry) Lookup(fp rlctree.Fingerprint) (*Resident, bool) {
 	el, ok := r.byKey[fp]
 	if !ok {
 		r.misses++
-		if obs.On() {
-			mRegistryMisses.Inc()
-		}
+		mRegistryMisses.Inc()
 		return nil, false
 	}
 	r.hits++
-	if obs.On() {
-		mRegistryHits.Inc()
-	}
+	mRegistryHits.Inc()
 	r.order.MoveToFront(el)
 	return el.Value.(*Resident), true
 }
@@ -216,15 +203,11 @@ func (r *Registry) Rekey(res *Resident) rlctree.Fingerprint {
 		if el, ok := r.byKey[fp]; ok {
 			r.removeLocked(el)
 			r.evictions++
-			if obs.On() {
-				mRegistryEvictions.Inc()
-			}
+			mRegistryEvictions.Inc()
 		}
 		r.byKey[fp] = res.elem
 		r.order.MoveToFront(res.elem)
-		if obs.On() {
-			mRegistryNets.Set(int64(r.order.Len()))
-		}
+		mRegistryNets.Set(int64(r.order.Len()))
 	}
 	res.fp = fp
 	return fp
@@ -253,11 +236,9 @@ func (r *Registry) flushLocked() int {
 	for r.order.Len() > 0 {
 		r.removeLocked(r.order.Back())
 		r.evictions++
-		if obs.On() {
-			mRegistryEvictions.Inc()
-		}
+		mRegistryEvictions.Inc()
 	}
-	if n > 0 && obs.On() {
+	if n > 0 {
 		mRegistryNets.Set(0)
 	}
 	return n
@@ -269,9 +250,7 @@ func (r *Registry) evictOverflowLocked() {
 		oldest := r.order.Back()
 		r.removeLocked(oldest)
 		r.evictions++
-		if obs.On() {
-			mRegistryEvictions.Inc()
-		}
+		mRegistryEvictions.Inc()
 	}
 }
 

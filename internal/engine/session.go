@@ -1,10 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"slices"
-	"time"
 
 	"eedtree/internal/core"
 	"eedtree/internal/faultinj"
@@ -74,9 +74,7 @@ func newSession(e *Engine, t *rlctree.Tree) (*Session, error) {
 	if e == nil {
 		e = New(Options{})
 	}
-	if obs.On() {
-		mIncrSessions.Inc()
-	}
+	mIncrSessions.Inc()
 	return &Session{eng: e, tree: t, st: st, gen: t.Gen()}, nil
 }
 
@@ -102,7 +100,6 @@ func (s *Session) catchUp() error {
 		return nil
 	}
 	s.full = nil
-	track := obs.On()
 	recs, status := s.tree.RecordsSince(s.gen)
 	if status == rlctree.JournalOK {
 		var edits, attaches, detaches, splits uint64
@@ -127,12 +124,10 @@ func (s *Session) catchUp() error {
 			}
 		}
 		if replayable {
-			if track {
-				mIncrEdits.Add(edits)
-				mIncrStructAttaches.Add(attaches)
-				mIncrStructDetaches.Add(detaches)
-				mIncrStructSplits.Add(splits)
-			}
+			mIncrEdits.Add(edits)
+			mIncrStructAttaches.Add(attaches)
+			mIncrStructDetaches.Add(detaches)
+			mIncrStructSplits.Add(splits)
 			s.gen = s.tree.Gen()
 			return nil
 		}
@@ -144,11 +139,9 @@ func (s *Session) catchUp() error {
 	structural := s.tree.StructuralSince(s.gen)
 	s.st = st
 	s.gen = s.tree.Gen()
-	if track {
-		mIncrResyncs.Inc()
-		if structural {
-			mIncrStructResyncs.Inc()
-		}
+	mIncrResyncs.Inc()
+	if structural {
+		mIncrStructResyncs.Inc()
 	}
 	return nil
 }
@@ -186,16 +179,16 @@ func (s *Session) SetC(sec *rlctree.Section, v float64) error {
 	return sec.SetC(v)
 }
 
-// observeStructural folds the structural edit the tree just journaled into
+// foldStructural folds the structural edit the tree just journaled into
 // the incremental state immediately (rather than on the next query) and
-// records its end-to-end latency. Folding eagerly keeps the structural
-// wrappers' cost visible in eed_incr_structural_latency_ns and leaves the
-// session ready for the O(depth) query that invariably follows in an
-// optimizer loop.
-func (s *Session) observeStructural(t0 time.Time, track bool) error {
+// ends lat, the edit's end-to-end timing. Folding eagerly keeps the
+// structural wrappers' cost visible in eed_incr_structural_latency_ns
+// and leaves the session ready for the O(depth) query that invariably
+// follows in an optimizer loop.
+func (s *Session) foldStructural(lat obs.Stage) error {
 	err := s.catchUp()
-	if track && err == nil {
-		mIncrStructLatency.ObserveSince(t0)
+	if err == nil {
+		lat.End("")
 	}
 	return err
 }
@@ -209,16 +202,12 @@ func (s *Session) AttachLeaf(name string, parent *rlctree.Section, r, l, c float
 			return nil, err
 		}
 	}
-	track := obs.On()
-	var t0 time.Time
-	if track {
-		t0 = time.Now()
-	}
+	lat := obs.Time(mIncrStructLatency)
 	sec, err := s.tree.AttachLeaf(name, parent, r, l, c)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.observeStructural(t0, track); err != nil {
+	if err := s.foldStructural(lat); err != nil {
 		return nil, err
 	}
 	return sec, nil
@@ -236,16 +225,12 @@ func (s *Session) AttachSubtree(parent *rlctree.Section, src *rlctree.Tree) ([]*
 	if src == s.tree {
 		return nil, guard.Newf(guard.ErrTopology, "engine", "cannot attach the session's own tree into itself")
 	}
-	track := obs.On()
-	var t0 time.Time
-	if track {
-		t0 = time.Now()
-	}
+	lat := obs.Time(mIncrStructLatency)
 	moved, err := s.tree.AttachSubtree(parent, src)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.observeStructural(t0, track); err != nil {
+	if err := s.foldStructural(lat); err != nil {
 		return nil, err
 	}
 	return moved, nil
@@ -260,16 +245,12 @@ func (s *Session) Detach(sec *rlctree.Section) (*rlctree.Tree, error) {
 	if err := s.checkSection(sec); err != nil {
 		return nil, err
 	}
-	track := obs.On()
-	var t0 time.Time
-	if track {
-		t0 = time.Now()
-	}
+	lat := obs.Time(mIncrStructLatency)
 	sub, err := s.tree.Detach(sec)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.observeStructural(t0, track); err != nil {
+	if err := s.foldStructural(lat); err != nil {
 		return nil, err
 	}
 	return sub, nil
@@ -282,16 +263,12 @@ func (s *Session) SplitSection(sec *rlctree.Section, k int) ([]*rlctree.Section,
 	if err := s.checkSection(sec); err != nil {
 		return nil, err
 	}
-	track := obs.On()
-	var t0 time.Time
-	if track {
-		t0 = time.Now()
-	}
+	lat := obs.Time(mIncrStructLatency)
 	subs, err := s.tree.SplitSection(sec, k)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.observeStructural(t0, track); err != nil {
+	if err := s.foldStructural(lat); err != nil {
 		return nil, err
 	}
 	return subs, nil
@@ -310,18 +287,14 @@ func (s *Session) SumsAt(sink *rlctree.Section) (sr, sl, ctot float64, err error
 		return 0, 0, 0, guard.Newf(guard.ErrNumeric, "engine.faultinj",
 			"injected numeric degradation (sess.numeric)")
 	}
-	track := obs.On()
-	var t0 time.Time
-	if track {
-		t0 = time.Now()
-	}
+	lat := obs.Time(mIncrQueryLatency)
 	if err := s.catchUp(); err != nil {
 		return 0, 0, 0, err
 	}
 	sr, sl, ctot, err = s.st.SumsAt(sink.Index())
-	if track && err == nil {
+	if err == nil {
 		mIncrQueries.Inc()
-		mIncrQueryLatency.ObserveSince(t0)
+		lat.End("")
 	}
 	return sr, sl, ctot, err
 }
@@ -368,16 +341,16 @@ type SectionEdit struct {
 // "incr.edit_analyze" span. Edits are applied in order; on an invalid edit
 // the earlier edits of the batch remain applied (they are journaled on the
 // tree like any other edit) and the error is returned.
-func (s *Session) EditAndAnalyze(ctx context.Context, edits []SectionEdit, sink *rlctree.Section) (core.NodeAnalysis, error) {
-	span, _ := obs.StartSpan(ctx, "incr.edit_analyze")
-	span.SetSections(len(edits))
+func (s *Session) EditAndAnalyze(ctx context.Context, edits []SectionEdit, sink *rlctree.Section) (na core.NodeAnalysis, err error) {
+	st, _ := obs.StartStage(ctx, "incr.edit_analyze", nil)
+	st.SetSections(len(edits))
+	outcome := "" // the error's guard class unless an edit was refused
+	defer func() { st.End(cmp.Or(outcome, guard.ClassName(err))) }()
 	if err := guard.Check(ctx); err != nil {
-		span.EndWith(guard.ClassName(err))
 		return core.NodeAnalysis{}, err
 	}
 	for _, e := range edits {
 		if err := s.checkSection(e.Section); err != nil {
-			span.EndWith(guard.ClassName(err))
 			return core.NodeAnalysis{}, err
 		}
 		var err error
@@ -392,17 +365,11 @@ func (s *Session) EditAndAnalyze(ctx context.Context, edits []SectionEdit, sink 
 			err = guard.Newf(guard.ErrInternal, "engine", "unknown edit element %d", e.Elem)
 		}
 		if err != nil {
-			span.EndWith("guard")
+			outcome = "guard"
 			return core.NodeAnalysis{}, err
 		}
 	}
-	na, err := s.AnalyzeAt(sink)
-	if err != nil {
-		span.EndWith(guard.ClassName(err))
-		return core.NodeAnalysis{}, err
-	}
-	span.EndWith("ok")
-	return na, nil
+	return s.AnalyzeAt(sink)
 }
 
 // Analyze returns the whole-tree characterization. The session first
@@ -421,27 +388,19 @@ func (s *Session) Analyze(ctx context.Context) ([]core.NodeAnalysis, error) {
 	if err := s.catchUp(); err != nil {
 		return nil, err
 	}
-	track := obs.On()
 	if s.full != nil {
 		s.eng.hits.Add(1)
-		if track {
-			mCacheHits.Inc()
-		}
+		mCacheHits.Inc()
 		return slices.Clone(s.full), nil
 	}
 	s.eng.misses.Add(1)
-	var t0 time.Time
-	if track {
-		mCacheMisses.Inc()
-		t0 = time.Now()
-	}
+	mCacheMisses.Inc()
+	lat := obs.Time(mIncrFullLatency)
 	out, err := s.eng.AnalyzeTree(ctx, s.tree)
 	if err != nil {
 		return nil, err
 	}
-	if track {
-		mIncrFullLatency.ObserveSince(t0)
-	}
+	lat.End("")
 	s.full = out
 	return slices.Clone(out), nil
 }

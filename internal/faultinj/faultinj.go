@@ -177,9 +177,7 @@ func (p *Plan) fire(pt Point) bool {
 	} else {
 		r.fired.Add(1)
 	}
-	if obs.On() {
-		r.counter.Inc()
-	}
+	r.counter.Inc()
 	return true
 }
 

@@ -23,9 +23,6 @@ func newErrorCounter(class string) *obs.Counter {
 
 // countError bumps the per-class error counter.
 func countError(class error) {
-	if !obs.On() {
-		return
-	}
 	if c := errorCounters[class]; c != nil {
 		c.Inc()
 	}
@@ -35,9 +32,6 @@ func countError(class error) {
 // a small fixed vocabulary ("line-bytes", "elements", "nodes", …), so the
 // get-or-create lookup stays cheap and the label set stays finite.
 func countLimitTrip(bound string) {
-	if !obs.On() {
-		return
-	}
 	obs.Default().Counter(obs.Label("eed_guard_limit_trips_total", "bound", bound),
 		"Input-limit violations, by tripped bound.").Inc()
 }

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,6 +56,7 @@ type WideEvent struct {
 
 	nstages int
 	stages  [maxStages]StageDur
+	inStage bool // a Stage is timing this event's current top-level layer
 }
 
 // SetNet annotates the resolved net fingerprint or name.
@@ -100,6 +103,8 @@ func (e *WideEvent) SetErr(err error) {
 
 // AddStage appends one named stage duration. Stages beyond the inline
 // capacity are dropped silently — the event's total still covers them.
+// Instrumented code does not call it: a Stage started from a context
+// carrying the event adds its own duration when it ends.
 func (e *WideEvent) AddStage(name string, d time.Duration) {
 	if e == nil || e.nstages >= maxStages {
 		return
@@ -347,7 +352,7 @@ func (f *FlightRecorder) Snapshot(q Filter) []WideEvent {
 		}
 		out = append(out, ev)
 	}
-	sortEventsBySeqDesc(out)
+	slices.SortFunc(out, func(a, b WideEvent) int { return cmp.Compare(b.Seq, a.Seq) })
 	if q.N > 0 && len(out) > q.N {
 		out = out[:q.N]
 	}
@@ -368,17 +373,6 @@ func (f *FlightRecorder) Captures() []Capture {
 		out = append(out, f.caps[idx])
 	}
 	return out
-}
-
-func sortEventsBySeqDesc(evs []WideEvent) {
-	// Insertion sort: the ring scan yields runs that are already nearly
-	// ordered, the slice is bounded by the ring size, and this avoids
-	// pulling sort's interface boxing into the package.
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && evs[j].Seq > evs[j-1].Seq; j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
 }
 
 // defaultFlight is the process-wide recorder, shared by eedsrv and the

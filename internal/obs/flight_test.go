@@ -51,8 +51,12 @@ func TestFlightRecorderRingWraps(t *testing.T) {
 	if len(got) != 16 {
 		t.Fatalf("after wrap Snapshot returned %d events, want 16", len(got))
 	}
-	if got[0].Seq != 40 || got[15].Seq != 25 {
-		t.Errorf("retained seqs [%d..%d], want [40..25]", got[0].Seq, got[15].Seq)
+	// Newest first across the wrap: 40, 39, …, 25, with no slot out of
+	// place (the ring scan yields ascending runs split at the write head).
+	for i, ev := range got {
+		if want := uint64(40 - i); ev.Seq != want {
+			t.Errorf("Snapshot[%d].Seq = %d, want %d", i, ev.Seq, want)
+		}
 	}
 }
 
@@ -90,8 +94,8 @@ func TestFlightRecorderCapturesErrorsAndSlow(t *testing.T) {
 	}
 	// Error with a traced span tree: captured.
 	tr := NewTrace("request")
-	sp, _ := StartSpan(WithTrace(context.Background(), tr), "analyze")
-	sp.End()
+	st, _ := StartStage(WithTrace(context.Background(), tr), "analyze", nil)
+	st.End("")
 	tr.Finish()
 	errEv := WideEvent{RequestID: "boom", Status: 504, Class: "timeout", TotalNS: 10}
 	f.Record(&errEv, tr)

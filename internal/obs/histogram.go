@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // DefaultLatencyBuckets are nanosecond upper bounds covering 1 µs to 10 s
 // in roughly half-decade steps — wide enough for a cache hit on a tiny
@@ -18,11 +15,12 @@ var DefaultLatencyBuckets = []int64{
 var WorkerBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // Histogram is a fixed-bucket histogram over int64 samples (typically
-// nanoseconds). Observe is lock-free and allocation-free: a linear scan
-// over a handful of bounds, then one atomic add on the bucket and one on
-// the running sum. The count is derived from the bucket totals at
-// snapshot time, so a concurrent reader may see a sample's bucket before
-// its sum — an acceptable skew for monitoring.
+// nanoseconds, fed by a Stage). Observe is lock-free and
+// allocation-free: a linear scan over a handful of bounds, then one
+// atomic add on the bucket and one on the running sum. The count is
+// derived from the bucket totals at snapshot time, so a concurrent
+// reader may see a sample's bucket before its sum — an acceptable skew
+// for monitoring.
 type Histogram struct {
 	name, help string
 	bounds     []int64 // ascending upper bounds; +Inf bucket implicit
@@ -39,19 +37,17 @@ func newHistogram(name, help string, bounds []int64) *Histogram {
 	}
 }
 
-// Observe records one sample.
+// Observe records one sample while instrumentation is on.
 func (h *Histogram) Observe(v int64) {
+	if !On() {
+		return
+	}
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
 	h.counts[i].Add(1)
 	h.sum.Add(v)
-}
-
-// ObserveSince records the elapsed nanoseconds since t0.
-func (h *Histogram) ObserveSince(t0 time.Time) {
-	h.Observe(int64(now().Sub(t0)))
 }
 
 // Name returns the metric name.

@@ -1,9 +1,17 @@
 // Package obs is the pipeline-wide observability layer: a metrics
 // registry of lock-free counters, gauges and fixed-bucket histograms, a
-// lightweight tracing-span tree over the analysis pipeline stages, and
-// exporters (Prometheus text exposition and JSON). It is dependency-free
-// (standard library only) so every other package — guard, core, engine,
-// transim, the CLIs — can instrument itself without import cycles.
+// per-request flight recorder of wide events, a lightweight tracing-span
+// tree, and exporters (Prometheus text exposition and JSON). It is
+// dependency-free (standard library only) so every other package —
+// guard, core, engine, transim, the CLIs — can instrument itself without
+// import cycles.
+//
+// A layer of work is timed one way, by a Stage: StartStage reads the
+// clock once at each end and sends that one duration to the layer's
+// histogram, to the wide event carried by the context (outermost open
+// stage only, so an event's stages partition its total) and to a span
+// when a trace is attached. Time is the same stage for a layer that only
+// has a histogram.
 //
 // Design constraints, in order:
 //
@@ -12,11 +20,14 @@
 //     no locks, no allocation. Registration (get-or-create by name) is
 //     the only synchronized operation and is meant to be done once, in
 //     package variables.
-//   - Everything is optional. With no Trace in the context, StartSpan
-//     returns a nil *Span whose methods are no-ops; with the global
-//     Enabled switch off, instrumentation sites skip their time.Now calls
-//     and metric writes entirely, so the uninstrumented baseline remains
-//     measurable (see `make obs-check`).
+//   - Everything is optional. The global switch lives here: while it is
+//     off, counters, histograms and Gauge.Set record nothing and a stage
+//     with no trace or event reads no clock, so the uninstrumented
+//     baseline remains measurable (see `make obs-check`) without a guard
+//     at each call site. Call sites read On() only to skip real work —
+//     building a wide event, an O(n) tally — or to keep a gauge's paired
+//     Inc and Dec on the same side of a flip. With no Trace in the
+//     context a stage opens no span.
 //   - Exposition never blocks recording. Readers snapshot atomics; a
 //     concurrent exposition dump observes a consistent-enough point-in-
 //     time view without stalling workers.
@@ -34,18 +45,17 @@ var enabled atomic.Bool
 
 func init() { enabled.Store(true) }
 
-// On reports whether instrumentation is enabled. Hot-path call sites gate
-// their metric writes (and time.Now calls) on it; the check itself is a
-// single atomic load.
+// On reports whether instrumentation is enabled. Metric writes and
+// stages check it themselves; callers read it only to skip work that
+// exists for instrumentation alone. The check is a single atomic load.
 func On() bool { return enabled.Load() }
 
-// SetEnabled flips the global instrumentation switch. Off means
-// instrumentation sites record nothing; metrics already registered keep
-// their values.
+// SetEnabled flips the global instrumentation switch. Off means metric
+// writes record nothing; metrics already registered keep their values.
 func SetEnabled(v bool) { enabled.Store(v) }
 
-// now is the clock used for spans and timed sections, swappable in tests
-// for deterministic trace output.
+// now is the clock used for stages and spans, swappable in tests for
+// deterministic trace output.
 var now = time.Now
 
 // defaultRegistry is the process-wide registry all instrumented packages

@@ -10,17 +10,16 @@ import (
 )
 
 // Trace is a tree of Spans covering one pipeline run (one CLI invocation,
-// one request). Create it with NewTrace, attach it to a context with
-// WithTrace, and let the pipeline stages open child spans with StartSpan.
-// Tracing is strictly opt-in: without a Trace in the context StartSpan
-// returns a nil *Span, and every *Span method is nil-safe, so instrumented
-// code pays one context lookup per stage and nothing else.
+// one request). Create it with NewTrace and attach it to a context with
+// WithTrace; every Stage started from that context opens a child span.
+// Tracing is strictly opt-in: without a Trace in the context a stage
+// opens no span, and every *Span method is nil-safe.
 type Trace struct {
 	root *Span
 }
 
-// Span is one timed pipeline stage. Fields are recorded via the setters
-// (nil-safe) and serialized by Trace.WriteJSON.
+// Span is the trace record of one Stage. Fields are recorded via the
+// setters (nil-safe) and serialized by Trace.WriteJSON.
 type Span struct {
 	mu       sync.Mutex
 	name     string
@@ -45,10 +44,10 @@ func (t *Trace) Root() *Span { return t.root }
 
 // Finish ends the root span; call it once the pipeline is done, before
 // WriteJSON.
-func (t *Trace) Finish() { t.root.End() }
+func (t *Trace) Finish() { t.root.end("", now().Sub(t.root.start)) }
 
-// WithTrace returns a context carrying the trace; spans started from it
-// attach under the root.
+// WithTrace returns a context carrying the trace; stages started from it
+// open their spans under the root.
 func WithTrace(ctx context.Context, t *Trace) context.Context {
 	if t == nil {
 		return ctx
@@ -56,20 +55,13 @@ func WithTrace(ctx context.Context, t *Trace) context.Context {
 	return context.WithValue(ctx, spanKey{}, t.root)
 }
 
-// StartSpan opens a child span under the span carried by ctx and returns
-// it along with a derived context for the stage's own children. With no
-// span in ctx it returns (nil, ctx): the nil span's methods are no-ops,
-// so call sites need no conditionals.
-func StartSpan(ctx context.Context, name string) (*Span, context.Context) {
-	parent, _ := ctx.Value(spanKey{}).(*Span)
-	if parent == nil {
-		return nil, ctx
-	}
-	s := &Span{name: name, start: now()}
-	parent.mu.Lock()
-	parent.children = append(parent.children, s)
-	parent.mu.Unlock()
-	return s, context.WithValue(ctx, spanKey{}, s)
+// child opens a span named name under s, starting at t0.
+func (s *Span) child(name string, t0 time.Time) *Span {
+	c := &Span{name: name, start: t0}
+	s.mu.Lock()
+	s.children = append(s.children, c)
+	s.mu.Unlock()
+	return c
 }
 
 // SetLabel attaches a free-form identifier (e.g. the input path).
@@ -102,39 +94,22 @@ func (s *Span) SetWorkers(n int) {
 	s.mu.Unlock()
 }
 
-// SetOutcome records the stage outcome without ending the span.
-func (s *Span) SetOutcome(outcome string) {
+// end closes the span after d with outcome ("" means "ok"). The recorded
+// duration is clamped to ≥ 1 ns so even instantaneous stages are visibly
+// non-zero in the trace; a second end changes nothing.
+func (s *Span) end(outcome string, d time.Duration) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.outcome = outcome
-	s.mu.Unlock()
-}
-
-// End closes the span with outcome "ok" unless one was already set. The
-// recorded duration is clamped to ≥ 1 ns so even instantaneous stages
-// are visibly non-zero in the trace.
-func (s *Span) End() {
-	if s == nil {
-		return
+	if outcome == "" {
+		outcome = "ok"
 	}
 	s.mu.Lock()
 	if s.dur == 0 {
-		if s.dur = now().Sub(s.start); s.dur < time.Nanosecond {
-			s.dur = time.Nanosecond
-		}
-	}
-	if s.outcome == "" {
-		s.outcome = "ok"
+		s.dur = max(d, time.Nanosecond)
+		s.outcome = outcome
 	}
 	s.mu.Unlock()
-}
-
-// EndWith sets the outcome and closes the span.
-func (s *Span) EndWith(outcome string) {
-	s.SetOutcome(outcome)
-	s.End()
 }
 
 // SpanNode is the serialized form of a span, also served by the flight

@@ -30,21 +30,21 @@ func mustRead(t *testing.T, path string) string {
 	return string(b)
 }
 
-func TestStartSpanWithoutTrace(t *testing.T) {
-	span, ctx := StartSpan(context.Background(), "stage")
-	if span != nil {
-		t.Fatal("no trace in context must yield a nil span")
+func TestStageWithoutSinks(t *testing.T) {
+	st, ctx := StartStage(context.Background(), "stage", nil)
+	if st.span != nil {
+		t.Fatal("no trace in context must yield no span")
 	}
 	if ctx != context.Background() {
 		t.Fatal("context must be returned unchanged")
 	}
-	// All methods must be no-ops on the nil span.
-	span.SetLabel("x")
-	span.SetSections(1)
-	span.SetWorkers(1)
-	span.SetOutcome("ok")
-	span.End()
-	span.EndWith("error")
+	// The span annotations are no-ops without a span.
+	st.SetLabel("x")
+	st.SetSections(1)
+	st.SetWorkers(1)
+	if d := st.End("error"); d != 0 {
+		t.Fatalf("a stage with no sink measured %v", d)
+	}
 }
 
 const goldenTrace = `{
@@ -86,17 +86,17 @@ func TestTraceGoldenJSON(t *testing.T) {
 	trace := NewTrace("cli") // t=1ms
 	ctx := WithTrace(context.Background(), trace)
 
-	parse, _ := StartSpan(ctx, "parse") // t=2ms
+	parse, _ := StartStage(ctx, "parse", nil) // t=2ms
 	parse.SetLabel("tree.txt")
 	parse.SetSections(7)
-	parse.End() // t=3ms → dur 1ms
+	parse.End("") // t=3ms → dur 1ms
 
-	sweep, sctx := StartSpan(ctx, "sweep") // t=4ms
+	sweep, sctx := StartStage(ctx, "sweep", nil) // t=4ms
 	sweep.SetSections(7)
 	sweep.SetWorkers(4)
-	sums, _ := StartSpan(sctx, "sums") // t=5ms
-	sums.End()                         // t=6ms → dur 1ms
-	sweep.EndWith("degraded")          // t=7ms → dur 3ms
+	sums, _ := StartStage(sctx, "sums", nil) // t=5ms
+	sums.End("")                             // t=6ms → dur 1ms
+	sweep.End("degraded")                    // t=7ms → dur 3ms
 
 	trace.Finish() // t=8ms → root dur 7ms
 
@@ -117,8 +117,8 @@ func TestSpanDurationClamped(t *testing.T) {
 	t.Cleanup(func() { now = time.Now })
 	trace := NewTrace("root")
 	ctx := WithTrace(context.Background(), trace)
-	s, _ := StartSpan(ctx, "instant")
-	s.End()
+	s, _ := StartStage(ctx, "instant", nil)
+	s.End("")
 	trace.Finish()
 	var sb strings.Builder
 	if err := trace.WriteJSON(&sb); err != nil {

@@ -2,10 +2,13 @@ package spef
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"eedtree/internal/core"
+	"eedtree/internal/rlctree"
 )
 
 const sample = `// extracted by testgen
@@ -250,6 +253,39 @@ func TestTreeErrors(t *testing.T) {
 	}
 	if tree.Section("a(drv)") == nil {
 		t.Fatal("driver-cap junction missing")
+	}
+}
+
+// TestTreeInducCheckLinear: matching *INDUC pairs to *RES branches must
+// not scan every resistor per inductor, which at this size is ~25×
+// slower than the build itself. An 8000-section net with an inductor on
+// every branch builds within 4× the same net without them.
+func TestTreeInducCheckLinear(t *testing.T) {
+	src := rlctree.Random(rand.New(rand.NewSource(5)), rlctree.RandomSpec{Sections: 8000})
+	f, err := FromTree(src, "big", "drv", DefaultUnits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withL := f.Nets[0]
+	if len(withL.Inducs) < 7000 {
+		t.Fatalf("net carries %d inductors, want nearly one per branch", len(withL.Inducs))
+	}
+	noL := *withL
+	noL.Inducs = nil
+	build := func(n *Net) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			t0 := time.Now()
+			if _, err := n.Tree(DefaultUnits); err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(t0))
+		}
+		return best
+	}
+	plain, induc := build(&noL), build(withL)
+	if induc > 4*plain {
+		t.Errorf("Tree with *INDUC took %v, more than 4× the %v without it", induc, plain)
 	}
 }
 

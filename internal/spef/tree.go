@@ -2,6 +2,7 @@ package spef
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"eedtree/internal/rlctree"
@@ -42,15 +43,15 @@ func (n *Net) Tree(units Units) (*rlctree.Tree, error) {
 		adj[b.A] = append(adj[b.A], edge{b.B, b.Value, l})
 		adj[b.B] = append(adj[b.B], edge{b.A, b.Value, l})
 	}
+	// Every inductor pair must lie on a resistor branch. Scanning the
+	// shorter of the two adjacency lists keeps the check linear on a
+	// tree: each branch is looked up from its lower-degree end.
 	for key := range induc {
-		found := false
-		for _, b := range n.Ress {
-			if pairKey(b.A, b.B) == key {
-				found = true
-				break
-			}
+		a, b := key[0], key[1]
+		if len(adj[a]) > len(adj[b]) {
+			a, b = b, a
 		}
-		if !found {
+		if !slices.ContainsFunc(adj[a], func(e edge) bool { return e.other == b }) {
 			return nil, fmt.Errorf("spef: net %q: *INDUC between %q and %q has no matching *RES branch", n.Name, key[0], key[1])
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"eedtree/internal/circuit"
 	"eedtree/internal/guard"
-	"eedtree/internal/obs"
 )
 
 // AdaptiveOptions configures an error-controlled transient run. The
@@ -83,10 +82,8 @@ func SimulateAdaptiveCtx(ctx context.Context, d *circuit.Deck, opt AdaptiveOptio
 	defer func() {
 		// Counted once per run from the controller stats — the trial-step
 		// loop itself carries no instrumentation.
-		if obs.On() {
-			mAdaptiveAccepted.Add(uint64(stats.Accepted))
-			mAdaptiveRejected.Add(uint64(stats.Rejected))
-		}
+		mAdaptiveAccepted.Add(uint64(stats.Accepted))
+		mAdaptiveRejected.Add(uint64(stats.Rejected))
 	}()
 	h := opt.InitialStep
 	xFull := make([]float64, e.sys.Size())

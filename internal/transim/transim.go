@@ -23,7 +23,6 @@ import (
 	"eedtree/internal/guard"
 	"eedtree/internal/lina"
 	"eedtree/internal/mna"
-	"eedtree/internal/obs"
 	"eedtree/internal/waveform"
 )
 
@@ -412,11 +411,7 @@ func SimulateCtx(ctx context.Context, d *circuit.Deck, opt Options) (*Result, er
 	}
 	res := newResult(d, e, steps+1)
 	executed := 0
-	defer func() {
-		if obs.On() {
-			mSteps.Add(uint64(executed))
-		}
-	}()
+	defer func() { mSteps.Add(uint64(executed)) }()
 	for k := 1; k <= steps; k++ {
 		if err := guard.Check(ctx); err != nil {
 			return nil, err
