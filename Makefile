@@ -40,7 +40,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseDeck -fuzztime=$(FUZZTIME) ./internal/circuit/
 	$(GO) test -run=NONE -fuzz=FuzzParseSource -fuzztime=$(FUZZTIME) ./internal/circuit/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/rlctree/
-	$(GO) test -run=NONE -fuzz=FuzzEditJournal -fuzztime=$(FUZZTIME) ./internal/rlctree/
+	$(GO) test -run=NONE -fuzz=FuzzElementEdits -fuzztime=$(FUZZTIME) ./internal/rlctree/
 	$(GO) test -run=NONE -fuzz=FuzzStructuralEdits -fuzztime=$(FUZZTIME) ./internal/incr/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/spef/
 	$(GO) test -run=NONE -fuzz=FuzzStream -fuzztime=$(FUZZTIME) ./internal/spef/

@@ -308,13 +308,15 @@ func openInput(ctx context.Context, cfg config) (io.Reader, func(), error) {
 
 // serialTwinHash streams the same input again and analyzes every net
 // serially with engine.AnalyzeNet, hashing results exactly the way the
-// pipeline's OnNet hook does.
+// pipeline's OnNet hook does. Like the pipeline's workers, the per-net
+// analyses run without the trace, so a traced run stays flat in memory.
 func serialTwinHash(ctx context.Context, cfg config, lim guard.Limits) (uint64, error) {
 	r, cleanup, err := openInput(ctx, cfg)
 	if err != nil {
 		return 0, err
 	}
 	defer cleanup()
+	netCtx := obs.WithoutTrace(ctx)
 	h := newNetHasher()
 	s := spef.StreamLimits(r, lim)
 	for i := 0; ; i++ {
@@ -326,7 +328,7 @@ func serialTwinHash(ctx context.Context, cfg config, lim guard.Limits) (uint64, 
 			return 0, err
 		}
 		res := engine.NetResult{Index: i, Net: n.Name}
-		res.Summary, res.Err = engine.AnalyzeNet(ctx, n, s.Units())
+		res.Summary, res.Err = engine.AnalyzeNet(netCtx, n, s.Units())
 		h.observe(res)
 		s.Recycle(n)
 	}

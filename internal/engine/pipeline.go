@@ -108,6 +108,11 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	// Per-net work keeps the run's cancellation but not its trace: a
+	// traced run holds the caller's spans only, not two per net, and the
+	// per-net layer times stay in eed_pipe_analyze_latency_ns and the
+	// core sums/kernel histograms.
+	netCtx := obs.WithoutTrace(ctx)
 
 	jobs := make(chan pipeJob, depth)
 	results := make(chan NetResult, depth)
@@ -171,8 +176,7 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 			// Class counts as interesting), healthy ones ride the ring for
 			// /v1/debug style dumps. Its context carries the event alone,
 			// so the net's "analyze" stage writes the event and its
-			// histogram but no span: a trace keeps the per-net sums and
-			// sweep spans directly under the caller's.
+			// histogram but no span.
 			evCtx := context.Background()
 			if track {
 				evCtx = obs.WithEvent(evCtx, &obs.WideEvent{})
@@ -181,7 +185,7 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 				if track {
 					mPipeParseQueue.Dec()
 				}
-				res := analyzeOne(ctx, evCtx, job)
+				res := analyzeOne(netCtx, evCtx, job)
 				if track {
 					mPipeResultQueue.Inc()
 				}

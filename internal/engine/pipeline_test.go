@@ -11,6 +11,7 @@ import (
 
 	"eedtree/internal/core"
 	"eedtree/internal/guard"
+	"eedtree/internal/obs"
 	"eedtree/internal/spef"
 	"eedtree/internal/timing"
 )
@@ -256,5 +257,33 @@ func TestPipelineEmptyInput(t *testing.T) {
 	}
 	if stats.Workers <= 0 || stats.QueueDepth <= 0 {
 		t.Fatalf("defaults not applied: %+v", stats)
+	}
+}
+
+// TestPipelineTraceSpansIndependentOfNetCount: per-net work runs without
+// the caller's trace, so a traced run holds the same spans over 10 nets
+// as over 100 and tracing keeps the pipeline's memory flat.
+func TestPipelineTraceSpansIndependentOfNetCount(t *testing.T) {
+	var count func(n obs.SpanNode) int
+	count = func(n obs.SpanNode) int {
+		c := 1
+		for _, ch := range n.Children {
+			c += count(ch)
+		}
+		return c
+	}
+	spans := func(nets int) int {
+		tr := obs.NewTrace("run")
+		st, ctx := obs.StartStage(obs.WithTrace(context.Background(), tr), "pipeline", nil)
+		_, stats, err := RunPipeline(ctx, strings.NewReader(genSPEF(nets, 0)), PipelineConfig{Workers: 2})
+		st.End("")
+		tr.Finish()
+		if err != nil || stats.Nets != nets {
+			t.Fatalf("RunPipeline over %d nets: %d analyzed, %v", nets, stats.Nets, err)
+		}
+		return count(tr.Tree())
+	}
+	if small, large := spans(10), spans(100); small != large {
+		t.Fatalf("trace holds %d spans over 10 nets and %d over 100", small, large)
 	}
 }

@@ -20,15 +20,15 @@ import (
 // loop of a sizing or repeater-insertion optimizer — pay O(depth) per
 // candidate rather than an O(n) rebuild-and-resweep.
 //
-// Edits may go through the session (SetR/SetL/SetC, EditAndAnalyze,
-// AttachLeaf/AttachSubtree/Detach/SplitSection) or directly through the
-// tree's own edit API; before every query the session catches up by
-// replaying the tree's typed journal since its last synchronized
-// generation. Structural changes replay in place like element edits —
-// O(depth + |subtree|) per record — so topology optimization loops stay
-// incremental; only a trimmed journal (or a consumed tree) forces a full
-// resynchronization, counted in eed_incr_resyncs_total with the
-// structural-cause split in eed_incr_structural_resyncs_total.
+// Every edit made through the session — SetR/SetL/SetC, EditAndAnalyze,
+// AttachLeaf/AttachSubtree/Detach/SplitSection — runs the tree op and
+// then its twin on the incremental state, so the state never lags the
+// tree: O(depth + |subtree|) per structural edit, which keeps topology
+// optimization loops incremental. The tree may also be edited directly,
+// around the session; the session then finds at its next query that the
+// tree's generation moved without it and rebuilds its state from the
+// tree, one O(n) resync counted in eed_incr_resyncs_total (and in
+// eed_incr_structural_resyncs_total when the topology changed).
 //
 // Query tiers, cheapest first:
 //
@@ -44,7 +44,7 @@ import (
 // A Session is not safe for concurrent use; it is the per-goroutine
 // companion of the process-wide Engine. Neither the session nor the tree
 // it wraps may be touched from two goroutines at once — both mutate
-// shared state (the incremental summations, the edit journal) on what
+// shared state (the incremental summations, the fingerprint cache) on what
 // look like read paths. Callers that must share a session across
 // goroutines serialize through a mutex that covers the session AND its
 // tree; Registry gives that discipline a name (Resident.Do), and the
@@ -78,60 +78,25 @@ func newSession(e *Engine, t *rlctree.Tree) (*Session, error) {
 	return &Session{eng: e, tree: t, st: st, gen: t.Gen()}, nil
 }
 
-// Tree returns the tree the session analyzes. Mutating it through the
-// edit API is allowed (the session catches up on the next query);
-// structural changes force a full state rebuild.
+// Tree returns the tree the session analyzes. Mutating it directly is
+// allowed, at the price of one counted state rebuild at the next query;
+// the session's own edit methods fold each edit in place.
 func (s *Session) Tree() *rlctree.Tree { return s.tree }
 
 // Stats returns the incremental kernel's work counters.
 func (s *Session) Stats() incr.Stats { return s.st.Stats() }
 
-// catchUp synchronizes the incremental state with the tree by replaying
-// the typed journal — element edits and structural records alike — since
-// the session's generation, falling back to a full rebuild only when the
-// history is not replayable (trimmed journal, consumed tree, or a record
-// stream that no longer matches the state). The resync cause is recorded
-// honestly: every rebuild counts in eed_incr_resyncs_total, and those
-// caused by an unreplayable structural change additionally count in
-// eed_incr_structural_resyncs_total (rlctree.Tree.StructuralSince). Any
-// move of the generation drops the held whole-tree result.
+// catchUp rebuilds the incremental state from the tree when the tree was
+// edited around the session (its generation moved without the session),
+// dropping the held whole-tree result. Every rebuild counts in
+// eed_incr_resyncs_total, and one whose missed edits include a
+// structural change also counts in eed_incr_structural_resyncs_total
+// (rlctree.Tree.StructuralSince).
 func (s *Session) catchUp() error {
 	if s.gen == s.tree.Gen() {
 		return nil
 	}
 	s.full = nil
-	recs, status := s.tree.RecordsSince(s.gen)
-	if status == rlctree.JournalOK {
-		var edits, attaches, detaches, splits uint64
-		replayable := true
-		for _, rec := range recs {
-			if err := s.st.ApplyRecord(rec); err != nil {
-				// Journal records were produced by the tree's own mutation
-				// API, so this is unreachable in practice; resync
-				// defensively.
-				replayable = false
-				break
-			}
-			switch rec.Kind {
-			case rlctree.RecordValue:
-				edits++
-			case rlctree.RecordAttach:
-				attaches++
-			case rlctree.RecordDetach:
-				detaches++
-			case rlctree.RecordSplit:
-				splits++
-			}
-		}
-		if replayable {
-			mIncrEdits.Add(edits)
-			mIncrStructAttaches.Add(attaches)
-			mIncrStructDetaches.Add(detaches)
-			mIncrStructSplits.Add(splits)
-			s.gen = s.tree.Gen()
-			return nil
-		}
-	}
 	st, err := incr.New(s.tree)
 	if err != nil {
 		return err
@@ -146,6 +111,25 @@ func (s *Session) catchUp() error {
 	return nil
 }
 
+// inStep reports whether the incremental state reflects the tree as it
+// stands, so that the next tree op can be mirrored into it.
+func (s *Session) inStep() bool { return s.gen == s.tree.Gen() }
+
+// folded finishes an edit whose tree op has succeeded and whose state op
+// returned stateErr. When the state op folded and the tree op moved the
+// generation, the session takes the new generation, drops its held
+// result and reports true. A state op that failed (it cannot, for an op
+// the tree accepted) leaves the session behind the tree, so the next
+// query rebuilds the state and counts a resync.
+func (s *Session) folded(stateErr error) bool {
+	if stateErr != nil || s.gen == s.tree.Gen() {
+		return false
+	}
+	s.gen = s.tree.Gen()
+	s.full = nil
+	return true
+}
+
 func (s *Session) checkSection(sec *rlctree.Section) error {
 	if sec == nil || sec.Tree() != s.tree {
 		return guard.Newf(guard.ErrTopology, "engine", "section does not belong to the session's tree")
@@ -153,44 +137,62 @@ func (s *Session) checkSection(sec *rlctree.Section) error {
 	return nil
 }
 
-// SetR edits the series resistance of sec through the session. The edit is
-// journaled on the tree and folded into the incremental state on the next
-// query.
+// SetR edits the series resistance of sec through the session: the tree
+// first, then the incremental state — O(subtree) while the sums are
+// fresh, deferred to the next query after a capacitance edit.
 func (s *Session) SetR(sec *rlctree.Section, v float64) error {
-	if err := s.checkSection(sec); err != nil {
-		return err
-	}
-	return sec.SetR(v)
+	return s.setElem(sec, rlctree.ElemR, v)
 }
 
 // SetL edits the series inductance of sec; same contract as SetR.
 func (s *Session) SetL(sec *rlctree.Section, v float64) error {
-	if err := s.checkSection(sec); err != nil {
-		return err
-	}
-	return sec.SetL(v)
+	return s.setElem(sec, rlctree.ElemL, v)
 }
 
-// SetC edits the node capacitance of sec; same contract as SetR.
+// SetC edits the node capacitance of sec through the session; the state
+// refolds Ctot along the section's path in O(depth).
 func (s *Session) SetC(sec *rlctree.Section, v float64) error {
+	return s.setElem(sec, rlctree.ElemC, v)
+}
+
+// setElem makes one element edit on the tree and mirrors it into the
+// state. A refused or no-op edit changes neither; an edit made while the
+// session is behind the tree is left to the next query's resync.
+func (s *Session) setElem(sec *rlctree.Section, elem rlctree.Elem, v float64) error {
 	if err := s.checkSection(sec); err != nil {
 		return err
 	}
-	return sec.SetC(v)
+	var setTree func(float64) error
+	var setState func(int, float64) error
+	switch elem {
+	case rlctree.ElemR:
+		setTree, setState = sec.SetR, s.st.SetR
+	case rlctree.ElemL:
+		setTree, setState = sec.SetL, s.st.SetL
+	case rlctree.ElemC:
+		setTree, setState = sec.SetC, s.st.SetC
+	default:
+		return guard.Newf(guard.ErrInternal, "engine", "unknown edit element %d", elem)
+	}
+	inStep := s.inStep()
+	if err := setTree(v); err != nil || !inStep {
+		return err
+	}
+	if s.folded(setState(sec.Index(), v)) {
+		mIncrEdits.Inc()
+	}
+	return nil
 }
 
-// foldStructural folds the structural edit the tree just journaled into
-// the incremental state immediately (rather than on the next query) and
-// ends lat, the edit's end-to-end timing. Folding eagerly keeps the
-// structural wrappers' cost visible in eed_incr_structural_latency_ns
-// and leaves the session ready for the O(depth) query that invariably
-// follows in an optimizer loop.
-func (s *Session) foldStructural(lat obs.Stage) error {
-	err := s.catchUp()
-	if err == nil {
+// foldStructural finishes a structural edit made while the session was
+// in step: stateErr is the result of the state op that mirrored the tree
+// op. When it folded, the edit counts in counter and lat, the edit's
+// end-to-end timing, ends.
+func (s *Session) foldStructural(lat obs.Stage, counter *obs.Counter, stateErr error) {
+	if s.folded(stateErr) {
+		counter.Inc()
 		lat.End("")
 	}
-	return err
 }
 
 // AttachLeaf appends a new leaf section beneath parent (nil = the input
@@ -203,12 +205,13 @@ func (s *Session) AttachLeaf(name string, parent *rlctree.Section, r, l, c float
 		}
 	}
 	lat := obs.Time(mIncrStructLatency)
+	inStep := s.inStep()
 	sec, err := s.tree.AttachLeaf(name, parent, r, l, c)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.foldStructural(lat); err != nil {
-		return nil, err
+	if inStep {
+		s.foldStructural(lat, mIncrStructAttaches, s.st.Attach([]*rlctree.Section{sec}))
 	}
 	return sec, nil
 }
@@ -226,12 +229,13 @@ func (s *Session) AttachSubtree(parent *rlctree.Section, src *rlctree.Tree) ([]*
 		return nil, guard.Newf(guard.ErrTopology, "engine", "cannot attach the session's own tree into itself")
 	}
 	lat := obs.Time(mIncrStructLatency)
+	inStep := s.inStep()
 	moved, err := s.tree.AttachSubtree(parent, src)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.foldStructural(lat); err != nil {
-		return nil, err
+	if inStep {
+		s.foldStructural(lat, mIncrStructAttaches, s.st.Attach(moved))
 	}
 	return moved, nil
 }
@@ -240,18 +244,25 @@ func (s *Session) AttachSubtree(parent *rlctree.Section, src *rlctree.Tree) ([]*
 // independent tree (rlctree.Tree.Detach), un-folding its capacitance from
 // the incremental state symmetrically to an attach. Detaching a subtree
 // that occupies a contiguous index suffix — the invariable case when
-// undoing a recent attach — costs O(depth + |subtree|).
+// undoing a recent attach — costs O(depth + |subtree|). Detaching the
+// tree's only root would leave the session nothing to analyze, and is
+// refused before anything moves.
 func (s *Session) Detach(sec *rlctree.Section) (*rlctree.Tree, error) {
 	if err := s.checkSection(sec); err != nil {
 		return nil, err
 	}
+	if sec.Parent() == nil && len(s.tree.Roots()) == 1 {
+		return nil, guard.Newf(guard.ErrTopology, "engine",
+			"detaching %q, the tree's only root, would empty the session's tree", sec.Name())
+	}
 	lat := obs.Time(mIncrStructLatency)
+	inStep, root := s.inStep(), sec.Index()
 	sub, err := s.tree.Detach(sec)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.foldStructural(lat); err != nil {
-		return nil, err
+	if inStep {
+		s.foldStructural(lat, mIncrStructDetaches, s.st.Detach(root))
 	}
 	return sub, nil
 }
@@ -264,12 +275,13 @@ func (s *Session) SplitSection(sec *rlctree.Section, k int) ([]*rlctree.Section,
 		return nil, err
 	}
 	lat := obs.Time(mIncrStructLatency)
+	inStep, x := s.inStep(), sec.Index()
 	subs, err := s.tree.SplitSection(sec, k)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.foldStructural(lat); err != nil {
-		return nil, err
+	if inStep {
+		s.foldStructural(lat, mIncrStructSplits, s.st.Split(x, k))
 	}
 	return subs, nil
 }
@@ -338,9 +350,9 @@ type SectionEdit struct {
 
 // EditAndAnalyze applies a batch of element edits and returns the analysis
 // at sink — the one-call form of the edit→query cycle, traced as an
-// "incr.edit_analyze" span. Edits are applied in order; on an invalid edit
-// the earlier edits of the batch remain applied (they are journaled on the
-// tree like any other edit) and the error is returned.
+// "incr.edit_analyze" span. Edits are applied in order, each to the tree
+// and the incremental state; on an invalid edit the earlier edits of the
+// batch remain applied and the error is returned.
 func (s *Session) EditAndAnalyze(ctx context.Context, edits []SectionEdit, sink *rlctree.Section) (na core.NodeAnalysis, err error) {
 	st, _ := obs.StartStage(ctx, "incr.edit_analyze", nil)
 	st.SetSections(len(edits))
@@ -353,18 +365,7 @@ func (s *Session) EditAndAnalyze(ctx context.Context, edits []SectionEdit, sink 
 		if err := s.checkSection(e.Section); err != nil {
 			return core.NodeAnalysis{}, err
 		}
-		var err error
-		switch e.Elem {
-		case rlctree.ElemR:
-			err = e.Section.SetR(e.Value)
-		case rlctree.ElemL:
-			err = e.Section.SetL(e.Value)
-		case rlctree.ElemC:
-			err = e.Section.SetC(e.Value)
-		default:
-			err = guard.Newf(guard.ErrInternal, "engine", "unknown edit element %d", e.Elem)
-		}
-		if err != nil {
+		if err := s.setElem(e.Section, e.Elem, e.Value); err != nil {
 			outcome = "guard"
 			return core.NodeAnalysis{}, err
 		}

@@ -2,11 +2,14 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"eedtree/internal/core"
+	"eedtree/internal/guard"
 	"eedtree/internal/rlctree"
 )
 
@@ -91,30 +94,134 @@ func TestSessionDirectTreeEditsCatchUp(t *testing.T) {
 	}
 }
 
-func TestSessionStructuralChangeReplaysInPlace(t *testing.T) {
-	// A structural change made directly on the tree no longer forces a
-	// resync: the session folds the journaled attach record into its state
-	// and keeps answering bit-identically.
+// TestSessionForeignEditsResyncOnce: an edit made on the tree around the
+// session — a value edit or a structural one — is answered bit-identically
+// to the serial oracle at the next query, through one counted state
+// rebuild each (the structural one also counted as structurally caused),
+// while edits made through the session fold in place and add none.
+func TestSessionForeignEditsResyncOnce(t *testing.T) {
 	tree := sessionTestTree(t)
 	sess, err := NewSession(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	leaf := tree.Sections()[tree.Len()-1]
-	added := tree.MustAddSection("extra", leaf, 1, 0, 10e-15)
-	got, err := sess.DelayAt(added)
+	if _, err := sess.DelayAt(leaf); err != nil {
+		t.Fatal(err)
+	}
+	resyncs, structural := mIncrResyncs.Value(), mIncrStructResyncs.Value()
+	check := func(step string, sink *rlctree.Section, wantResyncs, wantStructural uint64) {
+		t.Helper()
+		got, err := sess.DelayAt(sink)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		nodes, err := core.AnalyzeTreeCtx(context.Background(), tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := nodes[sink.Index()].Delay50; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: delay %x, oracle %x", step, math.Float64bits(got), math.Float64bits(want))
+		}
+		if d := mIncrResyncs.Value() - resyncs; d != wantResyncs {
+			t.Fatalf("%s: %d resyncs, want %d", step, d, wantResyncs)
+		}
+		if d := mIncrStructResyncs.Value() - structural; d != wantStructural {
+			t.Fatalf("%s: %d structural resyncs, want %d", step, d, wantStructural)
+		}
+	}
+	if err := tree.Sections()[0].SetR(500); err != nil {
+		t.Fatal(err)
+	}
+	check("direct SetR", leaf, 1, 0)
+	added, err := tree.AttachLeaf("extra", leaf, 1, 0, 10e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.AtNode(added)
+	check("direct AttachLeaf", added, 2, 1)
+	if st := sess.Stats(); st.Attaches != 0 {
+		t.Fatalf("a foreign attach is rebuilt from the tree, not folded: %+v", st)
+	}
+	if err := sess.SetC(leaf, 70e-15); err != nil {
+		t.Fatal(err)
+	}
+	tap, err := sess.AttachLeaf("tap", leaf, 2, 0, 5e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != m.Delay50() {
-		t.Fatal("post-structural-change delay differs from from-scratch analysis")
+	check("session edits", tap, 2, 1)
+}
+
+// TestSessionDetachOnlyRootRefused: detaching the tree's only root would
+// empty the session's tree and strand the detached sections; the session
+// refuses it with a topology error before anything moves.
+func TestSessionDetachOnlyRootRefused(t *testing.T) {
+	tree, err := rlctree.Line("w", 4, rlctree.SectionValues{R: 10, L: 1e-9, C: 50e-15})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := sess.Stats(); st.Attaches != 1 {
-		t.Fatalf("attach must be folded in place, not resynced: %+v", st)
+	sess, err := NewSession(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, gen := tree.Fingerprint(), tree.Gen()
+	sub, err := sess.Detach(tree.Sections()[0])
+	if !errors.Is(err, guard.ErrTopology) || sub != nil {
+		t.Fatalf("Detach of the only root = (%v, %v), want a topology error", sub, err)
+	}
+	if tree.Len() != 4 || tree.Fingerprint() != fp || tree.Gen() != gen {
+		t.Fatalf("refused detach changed the tree: len %d", tree.Len())
+	}
+	sink := tree.Sections()[3]
+	got, err := sess.DelayAt(sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.AtNode(sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got) != math.Float64bits(m.Delay50()) {
+		t.Fatal("session answer changed after a refused detach")
+	}
+}
+
+// TestSessionEditPathByteBudget: the optimizer inner loop — two value
+// edits and one sink query — allocates nothing per cycle once warm, so
+// 10,000 cycles stay under a 64 KiB budget. The bytes are read from
+// runtime.MemStats.TotalAlloc, because an amortized per-edit cost (such
+// as a growing history slice) reads as 0 in testing.AllocsPerRun.
+func TestSessionEditPathByteBudget(t *testing.T) {
+	tree, err := rlctree.Line("w", 64, rlctree.SectionValues{R: 10, L: 1e-9, C: 50e-15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := tree.Sections()
+	sink := secs[len(secs)-1]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10000; i++ {
+		sec := secs[i%len(secs)]
+		w := 1 + float64(i%7)
+		if err := sess.SetC(sec, 50e-15*w); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.SetR(sec, 10/w); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.DelayAt(sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	const budget = 64 << 10
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Fatalf("10000 edit-query cycles allocated %d B (%d mallocs), budget %d B",
+			got, after.Mallocs-before.Mallocs, budget)
 	}
 }
 

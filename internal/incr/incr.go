@@ -47,6 +47,18 @@
 // marks the sums stale, after which single-sink queries walk the sink's
 // path in O(depth) and whole-tree queries re-sweep once in O(n).
 //
+// # Keeping a State in step with its tree
+//
+// A State holds no reference to the tree it was built from and sees no
+// edit by itself. Each mutation of rlctree.Tree has a twin here that
+// takes the same arguments: SetR/SetL/SetC for the element setters, and
+// Attach, Detach and Split for the structural ops (structural.go).
+// Running the tree op and then its twin keeps the state bit-identical to
+// New on the edited tree; engine.Session pairs them for every edit made
+// through it. An edit made on the tree alone leaves the state behind, and
+// the only remedy is a rebuild with New, which the session makes (and
+// counts) when it sees the tree's generation moved without it.
+//
 // State is not safe for concurrent use.
 package incr
 
@@ -65,16 +77,16 @@ type Stats struct {
 	PathQueries            uint64 // lazy O(depth) single-sink sum queries
 	FullSweeps             uint64 // lazy O(n) whole-tree S_R/S_L re-sweeps
 
-	// Structural records folded in place (structural.go).
+	// Structural edits folded in place (structural.go).
 	Attaches, Detaches, Splits uint64
 }
 
 // State is a mutable snapshot of a tree's element values and summations in
 // flat structure-of-arrays form. Build one with New, mutate it with
-// SetR/SetL/SetC (or Apply for journal replay), and read sums with SumsAt
-// or Sums. It holds no reference to the source tree; internal/engine's
-// Session keeps a State synchronized with a live tree via the edit
-// journal.
+// SetR/SetL/SetC and the structural ops Attach/Detach/Split, and read sums
+// with SumsAt or Sums. It holds no reference to the source tree: whoever
+// edits the tree makes the same edit here (internal/engine's Session does
+// so for every edit it is asked to make).
 type State struct {
 	parent []int32
 	// First-child/next-sibling adjacency in descending index order, so a
@@ -259,19 +271,6 @@ func (s *State) refoldPath(w int32) {
 		acc += s.c[w]
 		s.ctot[w] = acc
 	}
-}
-
-// Apply replays one journal edit (see rlctree.Tree.EditsSince).
-func (s *State) Apply(e rlctree.Edit) error {
-	switch e.Elem {
-	case rlctree.ElemR:
-		return s.SetR(e.Index, e.New)
-	case rlctree.ElemL:
-		return s.SetL(e.Index, e.New)
-	case rlctree.ElemC:
-		return s.SetC(e.Index, e.New)
-	}
-	return guard.Newf(guard.ErrInternal, "incr", "unknown edit element %d", e.Elem)
 }
 
 // SumsAt returns S_R(i), S_L(i) and Ctot(i) for one node. When the sums

@@ -67,12 +67,10 @@ func TestEditValidation(t *testing.T) {
 	if _, _, _, err := st.SumsAt(99); err == nil {
 		t.Fatal("out-of-range query must fail")
 	}
-	if err := st.Apply(rlctree.Edit{Index: 0, Elem: rlctree.Elem(9), New: 1}); err == nil {
-		t.Fatal("unknown edit element must fail")
-	}
 }
 
-// applyBoth applies one edit to both the live tree and the state.
+// applyBoth applies one edit to the live tree and then to the state, the
+// pairing engine.Session makes for every edit.
 func applyBoth(t *testing.T, tree *rlctree.Tree, st *State, idx int, elem rlctree.Elem, v float64) {
 	t.Helper()
 	s := tree.Sections()[idx]
@@ -142,45 +140,6 @@ func TestRandomEditSequenceBitEquality(t *testing.T) {
 	if totalEdits < 1000 {
 		t.Fatalf("property test covered only %d edits, want ≥ 1000", totalEdits)
 	}
-}
-
-// TestJournalReplayMatchesDirectEdits: a state synchronized by replaying
-// the tree's edit journal (the engine.Session path) is bit-identical to
-// one that saw the edits directly.
-func TestJournalReplayMatchesDirectEdits(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	tree := rlctree.Random(rng, rlctree.RandomSpec{Sections: 40})
-	st, err := New(tree) // snapshot at generation g
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := tree.Gen()
-	for e := 0; e < 200; e++ {
-		s := tree.Sections()[rng.Intn(tree.Len())]
-		v := rng.Float64() * 50
-		var err error
-		switch rng.Intn(3) {
-		case 0:
-			err = s.SetR(v)
-		case 1:
-			err = s.SetL(v)
-		default:
-			err = s.SetC(v)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	edits, status := tree.EditsSince(g)
-	if status != rlctree.JournalOK {
-		t.Fatalf("journal must cover the edit burst: %v", status)
-	}
-	for _, e := range edits {
-		if err := st.Apply(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	requireSumsBitEqual(t, st.Sums(), tree.ElmoreSums(), "journal replay")
 }
 
 func TestStatsCounters(t *testing.T) {

@@ -20,65 +20,53 @@ import (
 //   - split recomputes the k subsection Ctots from the preserved child
 //     fold and refolds the path above.
 //
+// Each op here is the twin of the rlctree.Tree op of the same name and
+// takes that op's arguments; it must run right after the tree op, on a
+// state that matched the tree before it (engine.Session pairs them).
+//
 // The bit-identity contract carries over unchanged: no stored sum ever
 // receives an additive delta. Every affected Ctot is recomputed through
 // the same child-descending/own-C-last fold as the from-scratch pass, the
 // index-order invariants of rlctree's structural ops guarantee the fold
 // order at untouched nodes is undisturbed, and S_R/S_L are marked stale so
-// queries re-derive them in from-scratch order. After ApplyRecord the
-// state is bit-identical to New on the post-edit tree.
+// queries re-derive them in from-scratch order. After each op the state
+// is bit-identical to New on the post-edit tree. An error means the op
+// does not match the state, which may then be part-updated: rebuild it
+// with New.
 
-// ApplyRecord replays one typed journal record (rlctree.Tree.RecordsSince)
-// — element edit or structural change — folding it into the live state in
-// O(depth + |affected sections|). Records must be applied in journal
-// order; an error means the record stream does not match the state (the
-// caller should resynchronize with New).
-func (s *State) ApplyRecord(rec rlctree.Record) error {
-	switch rec.Kind {
-	case rlctree.RecordValue:
-		return s.Apply(rec.Edit)
-	case rlctree.RecordAttach:
-		return s.applyAttach(rec)
-	case rlctree.RecordDetach:
-		return s.applyDetach(rec)
-	case rlctree.RecordSplit:
-		return s.applySplit(rec)
-	}
-	return guard.Newf(guard.ErrInternal, "incr", "unknown record kind %d", rec.Kind)
-}
-
-// applyAttach appends the attached sections — rec describes Count sections
-// at [Index, Index+Count) with parents inside the new range or at the
-// attach point — computes their Ctot bottom-up in from-scratch order, and
-// refolds Ctot along the attach parent's path.
-func (s *State) applyAttach(rec rlctree.Record) error {
-	start, n := rec.Index, rec.Count
-	if start != len(s.r) || n < 1 {
-		return guard.Newf(guard.ErrTopology, "incr",
-			"attach record at %d (count %d) does not extend state of %d sections", start, n, len(s.r))
+// Attach folds in the sections an attach just appended to the tree —
+// AttachLeaf's new section or the sections AttachSubtree moved in, in
+// index order — reading each one's parent and element values from the
+// tree. It computes their Ctot bottom-up in from-scratch order and refolds
+// Ctot along the attach parent's path.
+func (s *State) Attach(secs []*rlctree.Section) error {
+	start, n := len(s.r), len(secs)
+	if n == 0 {
+		return guard.Newf(guard.ErrTopology, "incr", "attach of no sections")
 	}
 	attachParent := int32(-1)
-	for i := 0; i < n; i++ {
-		var p int32
-		var r, l, c float64
-		if rec.Multi != nil {
-			p, r, l, c = rec.Multi.Parents[i], rec.Multi.R[i], rec.Multi.L[i], rec.Multi.C[i]
-		} else {
-			p, r, l, c = rec.Parent, rec.R, rec.L, rec.C
+	for i, sec := range secs {
+		idx := int32(start + i)
+		if sec.Index() != int(idx) {
+			return guard.Newf(guard.ErrTopology, "incr",
+				"attached section %q at index %d does not extend state of %d sections", sec.Name(), sec.Index(), idx)
 		}
-		if int(p) >= start+i || p < -1 {
-			return guard.Newf(guard.ErrTopology, "incr", "attach record parent %d out of order", p)
+		p := int32(-1)
+		if sp := sec.Parent(); sp != nil {
+			p = int32(sp.Index())
+		}
+		if p >= idx {
+			return guard.Newf(guard.ErrTopology, "incr", "attached section %q has parent %d out of order", sec.Name(), p)
 		}
 		if p < int32(start) {
 			// A root of the attached subtree: all roots share the attach
 			// parent (-1 = the input node).
 			attachParent = p
 		}
-		idx := int32(start + i)
 		s.parent = append(s.parent, p)
-		s.r = append(s.r, r)
-		s.l = append(s.l, l)
-		s.c = append(s.c, c)
+		s.r = append(s.r, sec.R())
+		s.l = append(s.l, sec.L())
+		s.c = append(s.c, sec.C())
 		s.ctot = append(s.ctot, 0)
 		s.sr = append(s.sr, 0)
 		s.sl = append(s.sl, 0)
@@ -108,39 +96,49 @@ func (s *State) applyAttach(rec rlctree.Record) error {
 	return nil
 }
 
-// applyDetach removes the recorded index set — a full subtree, so the
-// survivors' parents all survive — compacting the state in relative order,
-// and refolds Ctot along the former parent's path. A detach of a
-// contiguous index suffix (the common case for optimizer undo) is a pure
-// truncation.
-func (s *State) applyDetach(rec rlctree.Record) error {
-	if rec.Multi == nil || len(rec.Multi.Removed) == 0 {
-		return guard.Newf(guard.ErrTopology, "incr", "detach record carries no removed set")
-	}
-	removed := rec.Multi.Removed
+// Detach removes the subtree rooted at section index root, as
+// rlctree.Tree.Detach(root's section) just did: root and every section
+// below it, found from the state's own parent array. The survivors are
+// compacted in relative order and Ctot is refolded along the former
+// parent's path. A detach of a contiguous index suffix (the common case
+// for optimizer undo) is a pure truncation. A detach that would empty the
+// state is refused.
+func (s *State) Detach(root int) error {
 	n := len(s.r)
-	root := int32(rec.Index)
-	if int(root) >= n || int(removed[len(removed)-1]) >= n || len(removed) >= n {
-		return guard.Newf(guard.ErrTopology, "incr", "detach record out of range for %d sections", n)
+	if root < 0 || root >= n {
+		return guard.Newf(guard.ErrTopology, "incr", "detach root %d out of range [0, %d)", root, n)
+	}
+	// A parent precedes its children, so by induction on index the
+	// subtree is the whole suffix from root exactly when every later
+	// section hangs at or below root.
+	suffix := true
+	for i := root + 1; i < n; i++ {
+		if int(s.parent[i]) < root {
+			suffix = false
+			break
+		}
+	}
+	if suffix && root == 0 {
+		return guard.Newf(guard.ErrTopology, "incr", "detach of section %d would empty the state", root)
 	}
 	p := s.parent[root]
 
-	if k := len(removed); int(removed[0])+k == n {
+	if suffix {
 		// Suffix fast path: unlink the subtree root from its parent's child
-		// list, then truncate every array. O(depth + fanout).
-		if p >= 0 {
-			if s.childHead[p] == root {
-				s.childHead[p] = s.childNext[root]
+		// list, then truncate every array. O(|subtree| + fanout).
+		if r := int32(root); p >= 0 {
+			if s.childHead[p] == r {
+				s.childHead[p] = s.childNext[r]
 			} else {
 				for ch := s.childHead[p]; ch >= 0; ch = s.childNext[ch] {
-					if s.childNext[ch] == root {
-						s.childNext[ch] = s.childNext[root]
+					if s.childNext[ch] == r {
+						s.childNext[ch] = s.childNext[r]
 						break
 					}
 				}
 			}
 		}
-		w := int(removed[0])
+		w := root
 		s.parent = s.parent[:w]
 		s.childHead = s.childHead[:w]
 		s.childNext = s.childNext[:w]
@@ -149,14 +147,13 @@ func (s *State) applyDetach(rec rlctree.Record) error {
 		s.sr, s.sl = s.sr[:w], s.sl[:w]
 	} else {
 		// General case: compact in relative order. oldToNew doubles as the
-		// removed marker (-1).
+		// removed marker (-1): a section is removed when it is root or its
+		// parent was removed.
 		oldToNew := make([]int32, n)
-		ri := 0
 		w := int32(0)
 		for i := 0; i < n; i++ {
-			if ri < len(removed) && removed[ri] == int32(i) {
+			if op := s.parent[i]; i == root || (i > root && int(op) >= root && oldToNew[op] < 0) {
 				oldToNew[i] = -1
-				ri++
 				continue
 			}
 			oldToNew[i] = w
@@ -207,17 +204,19 @@ func (s *State) applyDetach(rec rlctree.Record) error {
 	return nil
 }
 
-// applySplit replaces the section at rec.Index with Count equal
-// subsections in place, the original keeping the last slot (and its
-// children), later sections shifting up — mirroring
-// rlctree.Tree.SplitSection index for index. The divided element values
-// are recomputed here from the state's own arrays with the same division,
-// so their bits match the tree's.
-func (s *State) applySplit(rec rlctree.Record) error {
-	x, k := rec.Index, rec.Count
-	if x < 0 || x >= len(s.r) || k < 2 {
+// Split replaces the section at index x with k equal subsections in
+// place, the original keeping the last slot (and its children), later
+// sections shifting up — mirroring rlctree.Tree.SplitSection index for
+// index; k = 1 is a no-op, as there. The divided element values are
+// recomputed here from the state's own arrays with the same division, so
+// their bits match the tree's.
+func (s *State) Split(x, k int) error {
+	if x < 0 || x >= len(s.r) || k < 1 {
 		return guard.Newf(guard.ErrTopology, "incr",
-			"split record (%d into %d) out of range for %d sections", x, k, len(s.r))
+			"split of section %d into %d out of range for %d sections", x, k, len(s.r))
+	}
+	if k == 1 {
+		return nil
 	}
 	m := int32(k - 1)
 	kk := float64(k)

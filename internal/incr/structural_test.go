@@ -9,21 +9,53 @@ import (
 	"eedtree/internal/rlctree"
 )
 
-// replayInto replays every journal record the state has not yet seen,
-// returning the new generation — the engine.Session catch-up path, inlined
-// for tests.
-func replayInto(t *testing.T, st *State, tree *rlctree.Tree, gen uint64) uint64 {
+// The helpers below run one structural tree op and then its state twin
+// on the same arguments, the pairing engine.Session makes; a state op
+// that fails after the tree accepted the op fails the test.
+
+func attachLeafBoth(t *testing.T, tree *rlctree.Tree, st *State, name string, parent *rlctree.Section, r, l, c float64) error {
 	t.Helper()
-	recs, status := tree.RecordsSince(gen)
-	if status != rlctree.JournalOK {
-		t.Fatalf("journal not replayable: %v", status)
+	sec, err := tree.AttachLeaf(name, parent, r, l, c)
+	if err == nil {
+		foldOK(t, "Attach", st.Attach([]*rlctree.Section{sec}))
 	}
-	for _, rec := range recs {
-		if err := st.ApplyRecord(rec); err != nil {
-			t.Fatalf("ApplyRecord(%v@%d): %v", rec.Kind, rec.Index, err)
-		}
+	return err
+}
+
+func attachSubtreeBoth(t *testing.T, tree *rlctree.Tree, st *State, parent *rlctree.Section, sub *rlctree.Tree) error {
+	t.Helper()
+	moved, err := tree.AttachSubtree(parent, sub)
+	if err == nil {
+		foldOK(t, "Attach", st.Attach(moved))
 	}
-	return tree.Gen()
+	return err
+}
+
+func detachBoth(t *testing.T, tree *rlctree.Tree, st *State, sec *rlctree.Section) (*rlctree.Tree, error) {
+	t.Helper()
+	root := sec.Index()
+	sub, err := tree.Detach(sec)
+	if err == nil {
+		foldOK(t, "Detach", st.Detach(root))
+	}
+	return sub, err
+}
+
+func splitBoth(t *testing.T, tree *rlctree.Tree, st *State, sec *rlctree.Section, k int) error {
+	t.Helper()
+	x := sec.Index()
+	_, err := tree.SplitSection(sec, k)
+	if err == nil {
+		foldOK(t, "Split", st.Split(x, k))
+	}
+	return err
+}
+
+func foldOK(t *testing.T, op string, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("state %s refused an op the tree accepted: %v", op, err)
+	}
 }
 
 // randomSubtree builds a small random tree with names distinct from the
@@ -45,8 +77,8 @@ func randomSubtree(rng *rand.Rand, p string, n int) *rlctree.Tree {
 
 // TestRandomMixedStructuralBitEquality is the structural correctness
 // contract: across ≥1500 interleaved value edits, leaf attaches, subtree
-// attaches, detaches and splits, a state kept in sync purely by replaying
-// the typed journal stays bit-identical to a from-scratch ElmoreSums of
+// attaches, detaches and splits, each made on the tree and then on the
+// state, the state stays bit-identical to a from-scratch ElmoreSums of
 // the mutated tree — checked at a random sink after every op (the lazy
 // O(depth) path) and over the whole tree at intervals and at the end.
 func TestRandomMixedStructuralBitEquality(t *testing.T) {
@@ -60,29 +92,16 @@ func TestRandomMixedStructuralBitEquality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen := tree.Gen()
 		var pool []*rlctree.Tree // detached subtrees awaiting re-attach
 		for op := 0; op < 220; op++ {
 			secs := tree.Sections()
 			switch rng.Intn(8) {
 			case 0, 1, 2: // value edit (keep these the majority, as in practice)
-				s := secs[rng.Intn(len(secs))]
-				v := rng.Float64() * 50
-				var err error
-				switch rng.Intn(3) {
-				case 0:
-					err = s.SetR(v)
-				case 1:
-					err = s.SetL(v)
-				default:
-					err = s.SetC(v)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+				idx, v := rng.Intn(len(secs)), rng.Float64()*50
+				applyBoth(t, tree, st, idx, rlctree.Elem(rng.Intn(3)), v)
 			case 3: // leaf attach
 				parent := secs[rng.Intn(len(secs))]
-				if _, err := tree.AttachLeaf(fmt.Sprintf("t%d_leaf%d", trial, op), parent,
+				if err := attachLeafBoth(t, tree, st, fmt.Sprintf("t%d_leaf%d", trial, op), parent,
 					rng.Float64()*10, rng.Float64()*1e-9, rng.Float64()*1e-13); err != nil {
 					t.Fatal(err)
 				}
@@ -95,7 +114,7 @@ func TestRandomMixedStructuralBitEquality(t *testing.T) {
 					sub = randomSubtree(rng, fmt.Sprintf("t%d_sub%d", trial, op), 1+rng.Intn(6))
 				}
 				parent := secs[rng.Intn(len(secs))]
-				if _, err := tree.AttachSubtree(parent, sub); err != nil {
+				if err := attachSubtreeBoth(t, tree, st, parent, sub); err != nil {
 					t.Fatal(err)
 				}
 			case 5: // detach (never empty the tree)
@@ -103,21 +122,20 @@ func TestRandomMixedStructuralBitEquality(t *testing.T) {
 					continue
 				}
 				sec := secs[1+rng.Intn(len(secs)-1)]
-				if sub, err := tree.Detach(sec); err != nil {
+				if sub, err := detachBoth(t, tree, st, sec); err != nil {
 					t.Fatal(err)
 				} else if rng.Intn(2) == 0 {
 					pool = append(pool, sub)
 				}
 			case 6: // split
 				sec := secs[rng.Intn(len(secs))]
-				if _, err := tree.SplitSection(sec, 2+rng.Intn(4)); err != nil {
+				if err := splitBoth(t, tree, st, sec, 2+rng.Intn(4)); err != nil {
 					// Splitting a section twice collides on the "~i" names;
-					// legal to attempt, nothing to replay.
+					// legal to attempt, nothing to fold.
 					continue
 				}
-			default: // no-op round: nothing mutated, replay must be empty
+			default: // no-op round: nothing mutated
 			}
-			gen = replayInto(t, st, tree, gen)
 			totalOps++
 
 			if st.Len() != tree.Len() {
@@ -147,11 +165,9 @@ func TestRandomMixedStructuralBitEquality(t *testing.T) {
 	st := func() Stats { // a sanity peek that structural paths actually ran
 		tree := rlctree.Random(rng, rlctree.RandomSpec{Sections: 8})
 		s, _ := New(tree)
-		g := tree.Gen()
-		sub, _ := tree.Detach(tree.Sections()[4])
-		_, _ = tree.AttachSubtree(tree.Sections()[0], sub)
-		_, _ = tree.SplitSection(tree.Sections()[1], 3)
-		replayInto(t, s, tree, g)
+		sub, _ := detachBoth(t, tree, s, tree.Sections()[4])
+		_ = attachSubtreeBoth(t, tree, s, tree.Sections()[0], sub)
+		_ = splitBoth(t, tree, s, tree.Sections()[1], 3)
 		return s.Stats()
 	}()
 	if st.Detaches == 0 || st.Attaches == 0 || st.Splits == 0 {
@@ -159,10 +175,11 @@ func TestRandomMixedStructuralBitEquality(t *testing.T) {
 	}
 }
 
-// TestApplyRecordStatsAndErrors covers the defensive paths: mismatched
-// records are rejected (the session then resynchronizes) and counters
-// advance per structural kind.
-func TestApplyRecordStatsAndErrors(t *testing.T) {
+// TestStructuralOpsStatsAndErrors covers the defensive paths: ops that do
+// not match the state are refused (the session then resynchronizes) and
+// count nothing, a detach that would empty the state is refused, k = 1
+// splits are no-ops, and the counters advance once per folded op.
+func TestStructuralOpsStatsAndErrors(t *testing.T) {
 	tree, err := rlctree.Line("w", 8, rlctree.SectionValues{R: 1, L: 1e-9, C: 1e-15})
 	if err != nil {
 		t.Fatal(err)
@@ -171,33 +188,56 @@ func TestApplyRecordStatsAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An attach record that does not extend the state.
-	if err := st.ApplyRecord(rlctree.Record{Kind: rlctree.RecordAttach, Index: 3, Count: 1}); err == nil {
+	// An attach of sections that do not extend the state.
+	if err := st.Attach(tree.Sections()[3:4]); err == nil {
 		t.Fatal("misaligned attach must fail")
 	}
-	// A detach with no payload, and one out of range.
-	if err := st.ApplyRecord(rlctree.Record{Kind: rlctree.RecordDetach, Index: 2}); err == nil {
-		t.Fatal("detach without removed set must fail")
+	if err := st.Attach(nil); err == nil {
+		t.Fatal("attach of no sections must fail")
 	}
-	if err := st.ApplyRecord(rlctree.Record{Kind: rlctree.RecordDetach, Index: 99,
-		Multi: &rlctree.MultiRecord{Removed: []int32{99}}}); err == nil {
-		t.Fatal("out-of-range detach must fail")
+	// Detaches out of range, and one of the only root.
+	for _, root := range []int{-1, 99} {
+		if err := st.Detach(root); err == nil {
+			t.Fatalf("out-of-range detach of %d must fail", root)
+		}
 	}
-	// A split out of range.
-	if err := st.ApplyRecord(rlctree.Record{Kind: rlctree.RecordSplit, Index: 99, Count: 2}); err == nil {
+	if err := st.Detach(0); err == nil {
+		t.Fatal("detach that empties the state must fail")
+	}
+	// Splits out of range, and a no-op k = 1 split.
+	if err := st.Split(99, 2); err == nil {
 		t.Fatal("out-of-range split must fail")
 	}
-	if err := st.ApplyRecord(rlctree.Record{Kind: rlctree.RecordKind(9)}); err == nil {
-		t.Fatal("unknown record kind must fail")
+	if err := st.Split(2, 0); err == nil {
+		t.Fatal("split into 0 must fail")
+	}
+	if err := st.Split(2, 1); err != nil {
+		t.Fatalf("k = 1 split must be a no-op: %v", err)
 	}
 	if got := st.Stats(); got.Attaches != 0 || got.Detaches != 0 || got.Splits != 0 {
-		t.Fatalf("failed records must not count: %+v", got)
+		t.Fatalf("failed and no-op ops must not count: %+v", got)
 	}
+	requireSumsBitEqual(t, st.Sums(), tree.ElmoreSums(), "after refused ops")
+
+	leaf := tree.Sections()[tree.Len()-1]
+	if err := attachLeafBoth(t, tree, st, "x", leaf, 1, 0, 1e-15); err != nil {
+		t.Fatal(err)
+	}
+	if err := splitBoth(t, tree, st, tree.Sections()[2], 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := detachBoth(t, tree, st, tree.Section("x")); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats(); got.Attaches != 1 || got.Detaches != 1 || got.Splits != 1 {
+		t.Fatalf("each folded op must count once: %+v", got)
+	}
+	requireSumsBitEqual(t, st.Sums(), tree.ElmoreSums(), "after folded ops")
 }
 
 // FuzzStructuralEdits drives arbitrary interleavings of value edits,
-// attach, detach and split decoded from raw bytes through the journal
-// replay path, asserting exact-bits agreement with from-scratch
+// attach, detach and split decoded from raw bytes, each made on the tree
+// and then on the state, asserting exact-bits agreement with from-scratch
 // ElmoreSums after every op. Registered in `make fuzz-smoke`.
 func FuzzStructuralEdits(f *testing.F) {
 	f.Add([]byte{})
@@ -216,7 +256,6 @@ func FuzzStructuralEdits(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen := tree.Gen()
 		serial := 0
 		// Bound the work per input: every op runs a from-scratch O(n)
 		// cross-check, so an unbounded op stream would be quadratic in the
@@ -235,24 +274,17 @@ func FuzzStructuralEdits(f *testing.F) {
 			secs := tree.Sections()
 			switch op % 5 {
 			case 0: // value edit
-				sec := secs[arg()%len(secs)]
+				idx := arg() % len(secs)
 				v := float64(arg())
-				var serr error
-				switch op / 5 % 3 {
-				case 0:
-					serr = sec.SetR(v)
-				case 1:
-					serr = sec.SetL(v)
-				default:
-					serr = sec.SetC(v * 1e-15)
+				elem := rlctree.Elem(op / 5 % 3)
+				if elem == rlctree.ElemC {
+					v *= 1e-15
 				}
-				if serr != nil {
-					t.Fatal(serr)
-				}
+				applyBoth(t, tree, st, idx, elem, v)
 			case 1: // leaf attach
 				parent := secs[arg()%len(secs)]
 				serial++
-				if _, err := tree.AttachLeaf(fmt.Sprintf("f%d", serial), parent,
+				if err := attachLeafBoth(t, tree, st, fmt.Sprintf("f%d", serial), parent,
 					1, 0, float64(arg())*1e-15); err != nil {
 					t.Fatal(err)
 				}
@@ -261,12 +293,12 @@ func FuzzStructuralEdits(f *testing.F) {
 					continue
 				}
 				sec := secs[1+arg()%(len(secs)-1)]
-				if _, err := tree.Detach(sec); err != nil {
+				if _, err := detachBoth(t, tree, st, sec); err != nil {
 					t.Fatal(err)
 				}
 			case 3: // split
 				sec := secs[arg()%len(secs)]
-				if _, err := tree.SplitSection(sec, 2+arg()%3); err != nil {
+				if err := splitBoth(t, tree, st, sec, 2+arg()%3); err != nil {
 					// Name collision with an earlier split of the same
 					// section is legal input; skip.
 					continue
@@ -280,20 +312,10 @@ func FuzzStructuralEdits(f *testing.F) {
 					prev = sub.MustAddSection(fmt.Sprintf("g%d_%d", serial, i), prev,
 						1, 1e-10, 2e-15)
 				}
-				if _, err := tree.AttachSubtree(parent, sub); err != nil {
+				if err := attachSubtreeBoth(t, tree, st, parent, sub); err != nil {
 					t.Fatal(err)
 				}
 			}
-			recs, status := tree.RecordsSince(gen)
-			if status != rlctree.JournalOK {
-				t.Fatalf("journal not replayable mid-stream: %v", status)
-			}
-			for _, rec := range recs {
-				if err := st.ApplyRecord(rec); err != nil {
-					t.Fatalf("ApplyRecord(%v@%d): %v", rec.Kind, rec.Index, err)
-				}
-			}
-			gen = tree.Gen()
 
 			want := tree.ElmoreSums()
 			q := (serial + tree.Len()) % tree.Len()

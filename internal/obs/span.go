@@ -55,6 +55,19 @@ func WithTrace(ctx context.Context, t *Trace) context.Context {
 	return context.WithValue(ctx, spanKey{}, t.root)
 }
 
+// WithoutTrace returns a context that keeps ctx's deadline, cancellation
+// and other values but carries no trace, so stages started from it open
+// no span. A run that repeats the same layers once per item (a net, a
+// task) does its per-item work under it: the trace then holds the run's
+// own stages, whatever the item count, and the per-item layer times stay
+// in their histograms.
+func WithoutTrace(ctx context.Context) context.Context {
+	if ctx.Value(spanKey{}) == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, spanKey{}, (*Span)(nil))
+}
+
 // child opens a span named name under s, starting at t0.
 func (s *Span) child(name string, t0 time.Time) *Span {
 	c := &Span{name: name, start: t0}

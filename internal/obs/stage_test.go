@@ -117,3 +117,24 @@ func TestStageNestedStaysOutOfEvent(t *testing.T) {
 		t.Errorf("event stages sum %d ns past the request's %d ns", sum, root.DurNS)
 	}
 }
+
+// TestWithoutTraceOpensNoSpan: a stage started under WithoutTrace opens
+// no span in the trace it hides, and the context keeps the parent's
+// cancellation.
+func TestWithoutTraceOpensNoSpan(t *testing.T) {
+	tr := NewTrace("root")
+	ctx, cancel := context.WithCancel(WithTrace(context.Background(), tr))
+	bare := WithoutTrace(ctx)
+	st, _ := StartStage(bare, "hidden", nil)
+	st.End("")
+	cancel()
+	if bare.Err() == nil {
+		t.Fatal("WithoutTrace dropped the parent's cancellation")
+	}
+	if n := len(tr.Tree().Children); n != 0 {
+		t.Fatalf("trace gained %d spans from a traceless context", n)
+	}
+	if bg := context.Background(); WithoutTrace(bg) != bg {
+		t.Fatal("a context without a trace must come back unchanged")
+	}
+}

@@ -16,8 +16,9 @@ import (
 // summations are recursively maintainable, so instead each optimizer holds
 // one engine.Session per problem and perturbs only the elements a
 // candidate changes: O(depth) per evaluation, with results bit-identical
-// to the from-scratch path (the internal/incr contract). The *Rebuild
-// twins of the old behavior survive below as benchmark and CI baselines.
+// to the from-scratch path (the internal/incr contract). The rebuild
+// twins of the old behavior live in rebuild_test.go as the test and
+// benchmark baselines.
 
 // widthDelayEval evaluates the sizing objective for one segment-width
 // change at a time; the interface lets the coordinate-descent core run
@@ -137,25 +138,6 @@ func (e *sizingEval) setWidths(widths []float64) error {
 	return nil
 }
 
-// rebuildSizingEval is the pre-incremental behavior: every evaluation
-// reconstructs the tree and re-runs the full O(n) summation passes. It is
-// retained as the baseline for the twin benchmarks and the CI speedup
-// gate, and to cross-check that the incremental path is bit-identical.
-type rebuildSizingEval struct {
-	p      SizingProblem
-	widths []float64
-}
-
-func (e *rebuildSizingEval) setWidth(i int, w float64) error {
-	if err := e.p.checkWidth(i, w); err != nil {
-		return err
-	}
-	e.widths[i] = w
-	return nil
-}
-
-func (e *rebuildSizingEval) delay() (float64, error) { return delayRebuild(e.p, e.widths) }
-
 // delayRebuild evaluates the sizing objective from scratch: fresh tree,
 // full two-pass sums, closed-form kernel at the load. This is what every
 // candidate evaluation cost before the incremental engine.
@@ -266,19 +248,6 @@ func optimizeWidths(p SizingProblem, relTol float64, maxSweeps int, ev widthDela
 		converged = prev-cur <= relTol*prev
 	}
 	return SizingResult{Widths: widths, Delay: cur, Sweeps: sweeps, Converged: converged}, nil
-}
-
-// optimizeWidthsRebuild is OptimizeWidths over the from-scratch evaluator —
-// the pre-incremental cost model. It exists as the benchmark and CI-gate
-// baseline; production callers should use OptimizeWidths.
-func optimizeWidthsRebuild(p SizingProblem, relTol float64, maxSweeps int) (SizingResult, error) {
-	relTol, maxSweeps = sizingDefaults(relTol, maxSweeps)
-	if err := p.validate(); err != nil {
-		return SizingResult{}, err
-	}
-	widths := initialWidths(p)
-	ev := &rebuildSizingEval{p: p, widths: append([]float64(nil), widths...)}
-	return optimizeWidths(p, relTol, maxSweeps, ev, widths)
 }
 
 func sizingDefaults(relTol float64, maxSweeps int) (float64, int) {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"eedtree/internal/obs"
 )
 
 func bitsEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -164,5 +166,23 @@ func TestDelayUsesSessionPathConsistency(t *testing.T) {
 	if !bitsEq(got, want) {
 		t.Fatalf("session delay %x != one-shot %x",
 			math.Float64bits(got), math.Float64bits(want))
+	}
+}
+
+// TestOptimizerSolvesAddNoResyncs: the optimizers make every edit through
+// their sessions, so a full solve folds each one in place and never
+// rebuilds a session's state from the tree.
+func TestOptimizerSolvesAddNoResyncs(t *testing.T) {
+	resyncs := obs.Default().Counter("eed_incr_resyncs_total", "")
+	structural := obs.Default().Counter("eed_incr_structural_resyncs_total", "")
+	r0, s0 := resyncs.Value(), structural.Value()
+	if _, err := OptimizeWidths(testSizing, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := InsertRepeatersTopo(testTopoRep); err != nil {
+		t.Fatal(err)
+	}
+	if r, s := resyncs.Value()-r0, structural.Value()-s0; r != 0 || s != 0 {
+		t.Fatalf("solves resynced %d times (%d structural), want none", r, s)
 	}
 }

@@ -281,7 +281,8 @@ func (p SizingProblem) Delay(widths []float64) (float64, error) {
 // width edits one segment's R and C in place and re-derives the load's
 // summations in O(depth), instead of rebuilding the tree and re-running
 // the O(n) sweeps. Results are bit-identical to the rebuild-per-candidate
-// evaluation (see optimizeWidthsRebuild) at a fraction of the cost.
+// evaluation (optimizeWidthsRebuild, rebuild_test.go) at a fraction of the
+// cost.
 func OptimizeWidths(p SizingProblem, relTol float64, maxSweeps int) (SizingResult, error) {
 	relTol, maxSweeps = sizingDefaults(relTol, maxSweeps)
 	if err := p.validate(); err != nil {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"eedtree/internal/core"
 	"eedtree/internal/engine"
 	"eedtree/internal/rlctree"
 )
@@ -57,11 +56,11 @@ type SkewResult struct {
 
 // skewEval evaluates the skew objective on a live incremental session
 // over a private copy of the problem tree: a width candidate edits one
-// tunable section's R and C in place (two journaled edits) and each sink
+// tunable section's R and C in place (two session edits) and each sink
 // delay re-derives in O(depth), instead of rebuilding and re-sweeping the
 // whole tree per candidate. Values are computed with the same arithmetic
-// as skewOf's rebuild (R/w, C·w from the drawn values), so the two
-// evaluations agree bit for bit.
+// as the rebuild twin skewOf in rebuild_test.go (R/w, C·w from the drawn
+// values), so the two evaluations agree bit for bit.
 type skewEval struct {
 	sess   *engine.Session
 	leaves []*rlctree.Section
@@ -139,47 +138,6 @@ func (e *skewEval) skew() (float64, error) {
 		}
 		if d > maxD {
 			maxD = d
-		}
-	}
-	return maxD - minD, nil
-}
-
-// skewOf rebuilds the tree with the given widths applied to the tunable
-// sections and returns (max − min) sink EED delay — the one-shot
-// evaluation skewEval is verified against.
-func (p SkewProblem) skewOf(widths map[string]float64) (float64, error) {
-	t := rlctree.New()
-	copies := make([]*rlctree.Section, p.Tree.Len())
-	for _, s := range p.Tree.Sections() {
-		var parent *rlctree.Section
-		if sp := s.Parent(); sp != nil {
-			parent = copies[sp.Index()]
-		}
-		r, l, c := s.R(), s.L(), s.C()
-		if w, ok := widths[s.Name()]; ok {
-			r /= w
-			c *= w
-		}
-		cp, err := t.AddSection(s.Name(), parent, r, l, c)
-		if err != nil {
-			return 0, err
-		}
-		copies[s.Index()] = cp
-	}
-	analyses, err := core.AnalyzeTree(t)
-	if err != nil {
-		return 0, err
-	}
-	minD, maxD := math.Inf(1), 0.0
-	for _, a := range analyses {
-		if !a.Section.IsLeaf() {
-			continue
-		}
-		if a.Delay50 < minD {
-			minD = a.Delay50
-		}
-		if a.Delay50 > maxD {
-			maxD = a.Delay50
 		}
 	}
 	return maxD - minD, nil

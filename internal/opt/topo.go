@@ -8,10 +8,10 @@
 // the inverse edit — the workload the structural-incremental kernel
 // exists for.
 //
-// Each optimizer has a rebuild twin (...Rebuild) that performs the same
-// surgeries on its own tree but prices every delay query at the
-// pre-incremental cost: clone the tree and run the full O(n) summation
-// passes. Both twins execute bit-identical floating-point work in the
+// Each optimizer has a rebuild twin (...Rebuild, in rebuild_test.go) that
+// performs the same surgeries on its own tree but prices every delay
+// query at the pre-incremental cost: clone the tree and run the full O(n)
+// summation passes. Both twins execute bit-identical floating-point work in the
 // same order, so they take identical greedy decisions and return
 // identical plans — the twin pair isolates the evaluation mechanism, and
 // the benchmark ratio between them is the speedup of the structural
@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 
-	"eedtree/internal/core"
 	"eedtree/internal/engine"
 	"eedtree/internal/rlctree"
 )
@@ -86,62 +85,6 @@ func (e *sessionTopoEval) delayAt(sink *rlctree.Section) (float64, error) {
 }
 
 func (e *sessionTopoEval) tree() *rlctree.Tree { return e.s.Tree() }
-
-// rebuildTopoEval is the pre-incremental cost model: structural edits go
-// straight to the tree, and a delay query on a changed tree clones it and
-// runs the full O(n) summation passes. The clone preserves index order,
-// so its sums are bit-identical to the incremental kernel's and the twins
-// never diverge.
-type rebuildTopoEval struct {
-	t     *rlctree.Tree
-	gen   uint64
-	sums  rlctree.Sums
-	valid bool
-}
-
-func newRebuildTopoEval(t *rlctree.Tree) (topoEval, error) {
-	if t == nil || t.Len() == 0 {
-		return nil, fmt.Errorf("opt: rebuild evaluator needs a non-empty tree")
-	}
-	return &rebuildTopoEval{t: t}, nil
-}
-
-func (e *rebuildTopoEval) attachLeaf(name string, parent *rlctree.Section, r, l, c float64) (*rlctree.Section, error) {
-	return e.t.AttachLeaf(name, parent, r, l, c)
-}
-
-func (e *rebuildTopoEval) attachSubtree(parent *rlctree.Section, src *rlctree.Tree) error {
-	_, err := e.t.AttachSubtree(parent, src)
-	return err
-}
-
-func (e *rebuildTopoEval) detach(sec *rlctree.Section) (*rlctree.Tree, error) {
-	return e.t.Detach(sec)
-}
-
-func (e *rebuildTopoEval) split(sec *rlctree.Section, k int) error {
-	_, err := e.t.SplitSection(sec, k)
-	return err
-}
-
-func (e *rebuildTopoEval) setR(sec *rlctree.Section, v float64) error { return sec.SetR(v) }
-func (e *rebuildTopoEval) setC(sec *rlctree.Section, v float64) error { return sec.SetC(v) }
-
-func (e *rebuildTopoEval) delayAt(sink *rlctree.Section) (float64, error) {
-	if !e.valid || e.t.Gen() != e.gen {
-		e.sums = e.t.Clone().ElmoreSums()
-		e.gen = e.t.Gen()
-		e.valid = true
-	}
-	i := sink.Index()
-	m, err := core.FromSums(e.sums.SR[i], e.sums.SL[i])
-	if err != nil {
-		return 0, err
-	}
-	return m.Delay50(), nil
-}
-
-func (e *rebuildTopoEval) tree() *rlctree.Tree { return e.t }
 
 // TopoRepeaterProblem describes delay-driven repeater insertion by
 // topology surgery: a source-driven line into a load, a repeater cell,
@@ -223,15 +166,6 @@ type repStage struct {
 // edits and queries instead of a rebuild.
 func InsertRepeatersTopo(p TopoRepeaterProblem) (TopoPlan, error) {
 	return insertRepeatersTopo(p, newSessionTopoEval)
-}
-
-// InsertRepeatersTopoRebuild is the rebuild twin of InsertRepeatersTopo:
-// identical candidate enumeration and greedy decisions, with every delay
-// query priced at a tree clone plus full summation passes. It exists to
-// be benchmarked against — and to pin, in tests, that the incremental
-// path returns bit-identical plans.
-func InsertRepeatersTopoRebuild(p TopoRepeaterProblem) (TopoPlan, error) {
-	return insertRepeatersTopo(p, newRebuildTopoEval)
 }
 
 func insertRepeatersTopo(p TopoRepeaterProblem, mk mkTopoEval) (TopoPlan, error) {
@@ -508,13 +442,6 @@ type TopologyResult struct {
 // queries and undone the same way when it does not pay.
 func ExploreTopologies(p TopologyProblem) (TopologyResult, error) {
 	return exploreTopologies(p, newSessionTopoEval)
-}
-
-// ExploreTopologiesRebuild is the rebuild twin of ExploreTopologies:
-// same moves, same decisions, with each changed topology priced at a
-// clone plus full summation passes per cost evaluation.
-func ExploreTopologiesRebuild(p TopologyProblem) (TopologyResult, error) {
-	return exploreTopologies(p, newRebuildTopoEval)
 }
 
 func exploreTopologies(p TopologyProblem, mk mkTopoEval) (TopologyResult, error) {

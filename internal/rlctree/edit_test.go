@@ -83,104 +83,28 @@ func TestGenBumpsOnMutationOnly(t *testing.T) {
 	}
 }
 
-func TestEditsSinceReplay(t *testing.T) {
-	tr, a, b, c := buildEditTree(t)
-	snapshot := tr.Clone()
-	g := tr.Gen()
-	if err := a.SetR(12); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SetC(5e-15); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetL(0); err != nil {
-		t.Fatal(err)
-	}
-	edits, status := tr.EditsSince(g)
-	if status != JournalOK || len(edits) != 3 {
-		t.Fatalf("EditsSince: status=%v n=%d, want complete history of 3", status, len(edits))
-	}
-	// Replay onto the snapshot and compare fingerprints.
-	for _, e := range edits {
-		s := snapshot.Sections()[e.Index]
-		var err error
-		switch e.Elem {
-		case ElemR:
-			err = s.SetR(e.New)
-		case ElemL:
-			err = s.SetL(e.New)
-		case ElemC:
-			err = s.SetC(e.New)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if snapshot.Fingerprint() != tr.Fingerprint() {
-		t.Fatal("replaying the journal must reproduce the tree exactly")
-	}
-	// Up to date: no edits, ok.
-	if edits, status := tr.EditsSince(tr.Gen()); status != JournalOK || len(edits) != 0 {
-		t.Fatalf("EditsSince(current) = %v, %v", edits, status)
-	}
-	// Future generation: not replayable, and says so.
-	if _, status := tr.EditsSince(tr.Gen() + 1); status != JournalFuture {
-		t.Fatalf("future generation: status=%v, want %v", status, JournalFuture)
-	}
-}
-
-func TestEditsSinceStructuralChangeInvalidates(t *testing.T) {
+// TestStructuralSinceSeparatesEditKinds: StructuralSince — the cause a
+// session reports when it rebuilds its state — fires for a topology change
+// after the given generation and not for element edits alone.
+func TestStructuralSinceSeparatesEditKinds(t *testing.T) {
 	tr, a, _, _ := buildEditTree(t)
 	g := tr.Gen()
 	if err := a.SetR(99); err != nil {
 		t.Fatal(err)
 	}
-	tr.MustAddSection("d", a, 1, 0, 1e-15)
-	// The history is not expressible as element edits, and the status says
-	// why: a structural change, not a trimmed window.
-	if _, status := tr.EditsSince(g); status != JournalStructural {
-		t.Fatalf("history across a structural change: status=%v, want %v", status, JournalStructural)
+	if tr.StructuralSince(g) {
+		t.Fatal("StructuralSince must not fire for pure element edits")
 	}
+	tr.MustAddSection("d", a, 1, 0, 1e-15)
 	if !tr.StructuralSince(g) {
 		t.Fatal("StructuralSince must report the topology change")
 	}
-	// The typed record form replays across it fine.
-	if recs, status := tr.RecordsSince(g); status != JournalOK || len(recs) != 2 {
-		t.Fatalf("RecordsSince: status=%v n=%d, want 2 records", status, len(recs))
-	} else if recs[0].Kind != RecordValue || recs[1].Kind != RecordAttach {
-		t.Fatalf("record kinds = %v, %v; want value, attach", recs[0].Kind, recs[1].Kind)
-	}
-	// But history since the structural change is plain element edits.
 	g2 := tr.Gen()
 	if err := a.SetR(98); err != nil {
 		t.Fatal(err)
 	}
-	if edits, status := tr.EditsSince(g2); status != JournalOK || len(edits) != 1 {
-		t.Fatalf("post-structural history: status=%v n=%d", status, len(edits))
-	}
 	if tr.StructuralSince(g2) {
-		t.Fatal("StructuralSince must not fire for pure element edits")
-	}
-}
-
-func TestEditJournalTrimming(t *testing.T) {
-	tr, a, _, _ := buildEditTree(t)
-	g := tr.Gen()
-	for i := 0; i < journalCap+10; i++ {
-		if err := a.SetR(float64(i + 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, status := tr.EditsSince(g); status != JournalTrimmed {
-		t.Fatalf("history beyond the trimmed journal: status=%v, want %v", status, JournalTrimmed)
-	}
-	// Recent history survives the trim.
-	g2 := tr.Gen()
-	if err := a.SetR(1e6); err != nil {
-		t.Fatal(err)
-	}
-	if edits, status := tr.EditsSince(g2); status != JournalOK || len(edits) != 1 || edits[0].New != 1e6 {
-		t.Fatalf("recent history lost: status=%v edits=%v", status, edits)
+		t.Fatal("StructuralSince must not fire for element edits after the change")
 	}
 }
 

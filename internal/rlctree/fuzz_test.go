@@ -46,15 +46,16 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzEditJournal drives the element-edit API with arbitrary edit streams
+// FuzzElementEdits drives the element-edit API with arbitrary edit streams
 // decoded from raw bytes (10 bytes per op: section index, element, raw
 // float64 bits — so NaN, ±Inf, negatives, -0 and subnormals all occur).
 // Invariants: a rejected edit changes neither the value nor the
-// generation; an accepted edit of a new value bumps the generation by
-// exactly one; and replaying the journal onto a pristine clone reproduces
-// the edited tree bit for bit (the catch-up contract engine.Session
-// relies on).
-func FuzzEditJournal(f *testing.F) {
+// generation; a no-op edit (the value already stored) leaves the
+// generation alone; an accepted edit of a new value stores it and bumps
+// the generation by exactly one; the generation moves once per accepted
+// edit over the whole stream; and element edits never register as a
+// structural change.
+func FuzzElementEdits(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0x24, 0x40}) // s0.R = 10
 	f.Add([]byte{3, 2, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}) // s3.C = 1
@@ -67,8 +68,8 @@ func FuzzEditJournal(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pristine := tr.Clone()
 		gen0 := tr.Gen()
+		accepted := uint64(0)
 		for len(input) >= 10 {
 			op, rest := input[:10], input[10:]
 			input = rest
@@ -118,38 +119,14 @@ func FuzzEditJournal(f *testing.F) {
 				if tr.Gen() != gen+1 {
 					t.Fatalf("accepted edit moved generation %d → %d", gen, tr.Gen())
 				}
+				accepted++
 			}
 		}
-		edits, status := tr.EditsSince(gen0)
-		if status != JournalOK {
-			// Only a journal trim can make the history unreplayable here
-			// (no structural changes happened after gen0), and the status
-			// must say so.
-			if status != JournalTrimmed {
-				t.Fatalf("unreplayable history reported %v, want %v", status, JournalTrimmed)
-			}
-			if tr.Gen()-gen0 < journalCap {
-				t.Fatalf("short history (%d edits) reported unreplayable", tr.Gen()-gen0)
-			}
-			return
+		if tr.Gen()-gen0 != accepted {
+			t.Fatalf("generation moved %d for %d accepted edits", tr.Gen()-gen0, accepted)
 		}
-		for _, e := range edits {
-			s := pristine.Sections()[e.Index]
-			var rerr error
-			switch e.Elem {
-			case ElemR:
-				rerr = s.SetR(e.New)
-			case ElemL:
-				rerr = s.SetL(e.New)
-			default:
-				rerr = s.SetC(e.New)
-			}
-			if rerr != nil {
-				t.Fatalf("journaled edit %+v failed to replay: %v", e, rerr)
-			}
-		}
-		if pristine.Fingerprint() != tr.Fingerprint() {
-			t.Fatal("journal replay does not reproduce the edited tree")
+		if tr.StructuralSince(gen0) {
+			t.Fatal("element edits registered as a structural change")
 		}
 	})
 }

@@ -6,10 +6,10 @@ import (
 )
 
 // This file is the in-place structural edit API: attach, detach and split
-// primitives that mutate a tree's topology without rebuilding it, each
-// journaled as a typed structural record (edit.go) so an incremental
-// consumer (internal/incr) can fold the change into its live summations in
-// O(depth + |subtree|) instead of resynchronizing from scratch. This is
+// primitives that mutate a tree's topology without rebuilding it. Each has
+// a twin in internal/incr that folds the same change into live summations
+// in O(depth + |subtree|) instead of resynchronizing from scratch, and
+// engine.Session runs the pair as one edit. This is
 // what makes topology optimization — repeater insertion, buffered-tree
 // exploration — an incremental-query workload: a candidate topology is a
 // structural edit, an O(depth) delay query, and an inverse structural edit,
@@ -31,9 +31,7 @@ import (
 // stay valid across the move, with Index/Tree/Parent re-homed.
 
 // AttachLeaf appends a new leaf section beneath parent (nil = the input
-// node) — AddSection under its structural-edit name. The attach is
-// journaled as a replayable structural record, so live incremental
-// sessions catch up in O(depth) instead of resynchronizing.
+// node) — AddSection under its structural-edit name.
 func (t *Tree) AttachLeaf(name string, parent *Section, r, l, c float64) (*Section, error) {
 	return t.AddSection(name, parent, r, l, c)
 }
@@ -67,18 +65,7 @@ func (t *Tree) AttachSubtree(parent *Section, src *Tree) ([]*Section, error) {
 		}
 	}
 
-	start, n := len(t.sections), src.Len()
-	rec := Record{Kind: RecordAttach, Index: start, Count: n}
-	if n == 1 {
-		rec.R, rec.L, rec.C = src.r[0], src.l[0], src.c[0]
-	} else {
-		rec.Multi = &MultiRecord{
-			Parents: make([]int32, n),
-			R:       append([]float64(nil), src.r...),
-			L:       append([]float64(nil), src.l...),
-			C:       append([]float64(nil), src.c...),
-		}
-	}
+	start := len(t.sections)
 	pIdx := int32(-1)
 	if parent != nil {
 		pIdx = int32(parent.index)
@@ -104,20 +91,15 @@ func (t *Tree) AttachSubtree(parent *Section, src *Tree) ([]*Section, error) {
 		t.l = append(t.l, src.l[i])
 		t.c = append(t.c, src.c[i])
 		t.parentIdx = append(t.parentIdx, pi)
-		if rec.Multi != nil {
-			rec.Multi.Parents[i] = pi
-		} else {
-			rec.Parent = pi
-		}
 	}
-	// src is consumed: empty it and invalidate any history so stale
-	// sessions resynchronize (and find nothing to serve).
+	// src is consumed: empty it and bump it, so a stale session over it
+	// resynchronizes (and finds nothing to serve).
 	src.sections = nil
 	src.byName = make(map[string]*Section)
 	src.r, src.l, src.c, src.parentIdx = nil, nil, nil, nil
-	src.bumpOpaque()
+	src.bumpStructural()
 
-	t.recordStructural(rec)
+	t.bumpStructural()
 	return moved, nil
 }
 
@@ -145,10 +127,6 @@ func (t *Tree) Detach(sec *Section) (*Tree, error) {
 		stack = append(stack, s.children...)
 	}
 	sort.Slice(removed, func(i, j int) bool { return removed[i] < removed[j] })
-	rec := Record{
-		Kind: RecordDetach, Index: sec.index,
-		Multi: &MultiRecord{Removed: removed},
-	}
 
 	// Unlink the root from its parent, preserving sibling order.
 	if p := sec.parent; p != nil {
@@ -217,7 +195,7 @@ func (t *Tree) Detach(sec *Section) (*Tree, error) {
 		t.parentIdx = t.parentIdx[:w]
 	}
 
-	t.recordStructural(rec)
+	t.bumpStructural()
 	return nt, nil
 }
 
@@ -316,6 +294,6 @@ func (t *Tree) SplitSection(sec *Section, k int) ([]*Section, error) {
 	t.sections[x+m] = sec
 	subs[k-1] = sec
 
-	t.recordStructural(Record{Kind: RecordSplit, Index: x, Count: k})
+	t.bumpStructural()
 	return subs, nil
 }

@@ -81,7 +81,7 @@ func requireSameSums(t *testing.T, got, want *Tree) {
 	}
 }
 
-func TestAttachLeafJournalsStructuralRecord(t *testing.T) {
+func TestAttachLeafIsStructuralChange(t *testing.T) {
 	tr, a, _, _ := buildEditTree(t)
 	g := tr.Gen()
 	leaf, err := tr.AttachLeaf("d", a, 5, 1e-9, 10e-15)
@@ -89,16 +89,14 @@ func TestAttachLeafJournalsStructuralRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkTreeInvariants(t, tr)
-	recs, status := tr.RecordsSince(g)
-	if status != JournalOK || len(recs) != 1 {
-		t.Fatalf("RecordsSince: status=%v n=%d", status, len(recs))
+	if leaf.Index() != tr.Len()-1 || leaf.Parent() != a {
+		t.Fatalf("leaf %q@%d not appended beneath %q", leaf.Name(), leaf.Index(), a.Name())
 	}
-	rec := recs[0]
-	if rec.Kind != RecordAttach || rec.Count != 1 || rec.Index != leaf.Index() {
-		t.Fatalf("attach record %+v does not describe the attach of %q@%d", rec, leaf.Name(), leaf.Index())
+	if leaf.R() != 5 || leaf.L() != 1e-9 || leaf.C() != 10e-15 {
+		t.Fatalf("leaf values wrong: %v", leaf)
 	}
-	if int(rec.Parent) != a.Index() || rec.R != 5 || rec.L != 1e-9 || rec.C != 10e-15 {
-		t.Fatalf("attach record payload wrong: %+v", rec)
+	if tr.Gen() != g+1 {
+		t.Fatalf("attach moved generation %d → %d, want one step", g, tr.Gen())
 	}
 	if !tr.StructuralSince(g) {
 		t.Fatal("attach must register as a structural change")

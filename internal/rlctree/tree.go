@@ -115,15 +115,11 @@ type Tree struct {
 	r, l, c   []float64
 	parentIdx []int32
 
-	// gen counts every mutation (structural or element edit). journal
-	// holds the typed mutation records — element edits and structural
-	// changes — with journalBase the generation just before its first
-	// entry; see EditsSince/RecordsSince. lastStructGen is the generation
-	// of the most recent structural mutation (resync-cause reporting). fp
-	// caches the content fingerprint of generation fpGen.
+	// gen counts every mutation (structural or element edit).
+	// lastStructGen is the generation of the most recent structural
+	// mutation (resync-cause reporting). fp caches the content fingerprint
+	// of generation fpGen.
 	gen           uint64
-	journal       []Record
-	journalBase   uint64
 	lastStructGen uint64
 	fpMu          sync.Mutex
 	fp            Fingerprint
@@ -173,10 +169,7 @@ func (t *Tree) AddSection(name string, parent *Section, r, l, c float64) (*Secti
 	if parent != nil {
 		parent.children = append(parent.children, s)
 	}
-	t.recordStructural(Record{
-		Kind: RecordAttach, Index: s.index, Count: 1,
-		Parent: pi, R: r, L: l, C: c,
-	})
+	t.bumpStructural()
 	return s, nil
 }
 
