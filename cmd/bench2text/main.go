@@ -13,7 +13,8 @@
 // progress events are dropped.
 //
 // With -compare, bench2text instead reads two saved JSON baselines and
-// prints a median ns/op delta table for the benchmarks they share:
+// prints a median delta table for the benchmarks they share: ns/op, plus
+// B/op and allocs/op when both baselines were run with -benchmem:
 //
 //	bench2text -compare BENCH_PR5.json BENCH_PR10.json
 //
@@ -27,8 +28,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,8 +62,13 @@ func main() {
 	}
 }
 
-// compareFiles prints a median-ns/op delta table for the benchmark names
-// present in both saved test2json baselines.
+// perOp are the per-op metrics -compare tabulates, in column order.
+// ns/op is always shown; B/op and allocs/op (go test -benchmem) show when
+// both files carry them for some shared benchmark.
+var perOp = []string{"ns/op", "B/op", "allocs/op"}
+
+// compareFiles prints a median delta table of the per-op metrics for the
+// benchmark names present in both saved test2json baselines.
 func compareFiles(oldPath, newPath string, w io.Writer) error {
 	oldSamples, err := benchSamples(oldPath)
 	if err != nil {
@@ -82,20 +88,57 @@ func compareFiles(oldPath, newPath string, w io.Writer) error {
 		return fmt.Errorf("no common benchmarks between %s and %s", oldPath, newPath)
 	}
 	sort.Strings(shared)
+	both := func(name, unit string) bool {
+		return len(oldSamples[name][unit]) > 0 && len(newSamples[name][unit]) > 0
+	}
+	cols := []string{"ns/op"}
+	for _, unit := range perOp[1:] {
+		for _, name := range shared {
+			if both(name, unit) {
+				cols = append(cols, unit)
+				break
+			}
+		}
+	}
 	tw := tabwriter.NewWriter(w, 2, 8, 2, ' ', 0)
-	fmt.Fprintf(tw, "benchmark\told ns/op\tnew ns/op\tdelta\n")
+	fmt.Fprint(tw, "benchmark")
+	for _, unit := range cols {
+		fmt.Fprintf(tw, "\told %s\tnew %s\tdelta", unit, unit)
+	}
+	fmt.Fprintln(tw)
 	for _, name := range shared {
-		o := median(oldSamples[name])
-		n := median(newSamples[name])
-		fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%+.1f%%\n", name, o, n, 100*(n-o)/o)
+		fmt.Fprint(tw, name)
+		for _, unit := range cols {
+			if !both(name, unit) {
+				fmt.Fprint(tw, "\t-\t-\t-")
+				continue
+			}
+			o := median(oldSamples[name][unit])
+			n := median(newSamples[name][unit])
+			fmt.Fprintf(tw, "\t%.0f\t%.0f\t%s", o, n, delta(o, n))
+		}
+		fmt.Fprintln(tw)
 	}
 	return tw.Flush()
 }
 
-// benchSamples extracts ns/op samples per benchmark name (the -procs
-// suffix stripped, so baselines from different GOMAXPROCS line up) from a
-// saved test2json stream.
-func benchSamples(path string) (map[string][]float64, error) {
+// delta is the relative change from o to n in percent; "-" when o is 0
+// and n is not (a new allocation, say, has no ratio).
+func delta(o, n float64) string {
+	if o == 0 {
+		if n == 0 {
+			return "+0.0%"
+		}
+		return "-"
+	}
+	return fmt.Sprintf("%+.1f%%", 100*(n-o)/o)
+}
+
+// benchSamples extracts the per-op samples of each benchmark, keyed by
+// name (the -procs suffix stripped, so baselines from different
+// GOMAXPROCS line up) and then by unit, from a saved test2json stream.
+// Result lines without ns/op are skipped.
+func benchSamples(path string) (map[string]map[string][]float64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -107,24 +150,24 @@ func benchSamples(path string) (map[string][]float64, error) {
 	if err := convert(f, &text); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	samples := make(map[string][]float64)
+	samples := make(map[string]map[string][]float64)
 	for _, line := range strings.Split(text.String(), "\n") {
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
 		fields := strings.Fields(line)
-		nsOp := math.NaN()
+		vals := make(map[string]float64)
 		for i := 2; i < len(fields); i++ {
-			if fields[i] == "ns/op" {
-				v, err := strconv.ParseFloat(fields[i-1], 64)
-				if err != nil {
-					return nil, fmt.Errorf("%s: bad ns/op in %q: %w", path, line, err)
-				}
-				nsOp = v
-				break
+			if !slices.Contains(perOp, fields[i]) {
+				continue
 			}
+			v, err := strconv.ParseFloat(fields[i-1], 64)
+			if err != nil {
+				return nil, fmt.Errorf("%s: bad %s in %q: %w", path, fields[i], line, err)
+			}
+			vals[fields[i]] = v
 		}
-		if math.IsNaN(nsOp) {
+		if _, ok := vals["ns/op"]; !ok {
 			continue // name-only line or a result without timings
 		}
 		name := fields[0]
@@ -133,7 +176,12 @@ func benchSamples(path string) (map[string][]float64, error) {
 				name = name[:i]
 			}
 		}
-		samples[name] = append(samples[name], nsOp)
+		if samples[name] == nil {
+			samples[name] = make(map[string][]float64)
+		}
+		for unit, v := range vals {
+			samples[name][unit] = append(samples[name][unit], v)
+		}
 	}
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("%s: no benchmark results found", path)

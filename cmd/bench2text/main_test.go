@@ -134,6 +134,72 @@ func TestCompareFilesDeltaTable(t *testing.T) {
 	}
 }
 
+// TestCompareFilesMemoryColumns: B/op and allocs/op get median delta
+// columns when both files carry them; a benchmark that lacks them in one
+// file shows dashes there.
+func TestCompareFilesMemoryColumns(t *testing.T) {
+	old := writeStream(t,
+		"BenchmarkMem-8 \t 10\t 100 ns/op\t 1000 B/op\t 10 allocs/op",
+		"BenchmarkMem-8 \t 10\t 110 ns/op\t 3000 B/op\t 30 allocs/op",
+		"BenchmarkMem-8 \t 10\t 120 ns/op\t 2000 B/op\t 20 allocs/op",
+		"BenchmarkTimeOnly-8 \t 10\t 50 ns/op",
+	)
+	now := writeStream(t,
+		"BenchmarkMem-8 \t 10\t 100 ns/op\t 500 B/op\t 0 allocs/op",
+		"BenchmarkTimeOnly-8 \t 10\t 50 ns/op\t 64 B/op\t 1 allocs/op",
+	)
+	var out bytes.Buffer
+	if err := compareFiles(old, now, &out); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(out.String(), "\n")
+	for _, want := range []string{"old B/op", "new B/op", "old allocs/op", "new allocs/op"} {
+		if !strings.Contains(lines[0], want) {
+			t.Errorf("header lacks %q: %s", want, lines[0])
+		}
+	}
+	mem := strings.Fields(lines[1])
+	if want := []string{"BenchmarkMem", "110", "100", "-9.1%", "2000", "500", "-75.0%", "20", "0", "-100.0%"}; strings.Join(mem, " ") != strings.Join(want, " ") {
+		t.Errorf("BenchmarkMem row = %v, want %v", mem, want)
+	}
+	timeOnly := strings.Fields(lines[2])
+	if want := []string{"BenchmarkTimeOnly", "50", "50", "+0.0%", "-", "-", "-", "-", "-", "-"}; strings.Join(timeOnly, " ") != strings.Join(want, " ") {
+		t.Errorf("BenchmarkTimeOnly row = %v, want %v", timeOnly, want)
+	}
+
+	// Without -benchmem on either side the table is the ns/op table.
+	out.Reset()
+	plain := writeStream(t, "BenchmarkTimeOnly-8 \t 10\t 40 ns/op")
+	if err := compareFiles(old, plain, &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "B/op") {
+		t.Errorf("memory columns shown without memory samples:\n%s", out.String())
+	}
+}
+
+// TestCompareCommittedBaselines: the committed PR 5 and PR 10 optimizer
+// baselines show the incremental sizing benchmark's B/op regression that
+// its ns/op hides.
+func TestCompareCommittedBaselines(t *testing.T) {
+	var out bytes.Buffer
+	if err := compareFiles("../../BENCH_PR5.json", "../../BENCH_PR10.json", &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(out.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || f[0] != "BenchmarkOptimizeWidthsIncremental" {
+			continue
+		}
+		// ns/op old, new, delta; B/op old, new, delta; allocs/op ...
+		if len(f) != 10 || f[4] != "539387" || f[5] != "1789474" || f[6] != "+231.8%" {
+			t.Fatalf("OptimizeWidthsIncremental row = %v, want median B/op 539387 → 1789474 (+231.8%%)", f)
+		}
+		return
+	}
+	t.Fatalf("no OptimizeWidthsIncremental row:\n%s", out.String())
+}
+
 func TestCompareFilesErrors(t *testing.T) {
 	withBench := writeStream(t, "BenchmarkFoo-8 \t 10\t 10 ns/op")
 	noOverlap := writeStream(t, "BenchmarkBar-8 \t 10\t 10 ns/op")

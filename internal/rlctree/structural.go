@@ -2,7 +2,7 @@ package rlctree
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file is the in-place structural edit API: attach, detach and split
@@ -126,7 +126,7 @@ func (t *Tree) Detach(sec *Section) (*Tree, error) {
 		removed = append(removed, int32(s.index))
 		stack = append(stack, s.children...)
 	}
-	sort.Slice(removed, func(i, j int) bool { return removed[i] < removed[j] })
+	slices.Sort(removed)
 
 	// Unlink the root from its parent, preserving sibling order.
 	if p := sec.parent; p != nil {
@@ -139,10 +139,18 @@ func (t *Tree) Detach(sec *Section) (*Tree, error) {
 		sec.parent = nil
 	}
 
-	// Move the subtree into a fresh tree in ascending (topological) index
-	// order; a moved section's parent has always moved first, so
-	// s.parent.index is already its new home.
-	nt := New()
+	// Move the subtree into a fresh tree, sized to it, in ascending
+	// (topological) index order; a moved section's parent has always moved
+	// first, so s.parent.index is already its new home.
+	k := len(removed)
+	nt := &Tree{
+		sections:  make([]*Section, k),
+		byName:    make(map[string]*Section, k),
+		r:         make([]float64, k),
+		l:         make([]float64, k),
+		c:         make([]float64, k),
+		parentIdx: make([]int32, k),
+	}
 	for j, old := range removed {
 		s := t.sections[old]
 		pi := int32(-1)
@@ -151,17 +159,14 @@ func (t *Tree) Detach(sec *Section) (*Tree, error) {
 		}
 		s.tree = nt
 		s.index = j
-		nt.sections = append(nt.sections, s)
+		nt.sections[j] = s
 		nt.byName[s.name] = s
-		nt.r = append(nt.r, t.r[old])
-		nt.l = append(nt.l, t.l[old])
-		nt.c = append(nt.c, t.c[old])
-		nt.parentIdx = append(nt.parentIdx, pi)
+		nt.r[j], nt.l[j], nt.c[j] = t.r[old], t.l[old], t.c[old]
+		nt.parentIdx[j] = pi
 		delete(t.byName, s.name)
 	}
 
 	// Compact the source tree. Suffix fast path: truncate.
-	k := len(removed)
 	if int(removed[0])+k == len(t.sections) {
 		w := int(removed[0])
 		t.sections = t.sections[:w]

@@ -19,9 +19,9 @@ import (
 )
 
 // Section is one RLC segment of a tree. Sections are created with
-// Tree.AddSection; their topology (name, parent, index) is immutable
-// afterwards, while the element values R, L and C live in the owning
-// tree's flat arrays and may be changed through SetR/SetL/SetC (see
+// Tree.AddSection or FromParents; their topology (name, parent, index) is
+// immutable afterwards, while the element values R, L and C live in the
+// owning tree's flat arrays and may be changed through SetR/SetL/SetC (see
 // edit.go). The identity of a Section is its tree plus name.
 type Section struct {
 	name     string
@@ -95,7 +95,7 @@ func (s *Section) String() string {
 }
 
 // Tree is an RLC tree driven at a single input node. The zero value is not
-// usable; create trees with New.
+// usable; create trees with New or FromParents.
 //
 // Element values are stored in flat structure-of-arrays form (r, l, c,
 // parentIdx indexed by section index) rather than on the Section structs:
@@ -147,13 +147,8 @@ func (t *Tree) AddSection(name string, parent *Section, r, l, c float64) (*Secti
 	if parent != nil && parent.tree != t {
 		return nil, fmt.Errorf("rlctree: parent section %q belongs to a different tree", parent.name)
 	}
-	for _, v := range [...]struct {
-		label string
-		val   float64
-	}{{"R", r}, {"L", l}, {"C", c}} {
-		if math.IsNaN(v.val) || math.IsInf(v.val, 0) || v.val < 0 {
-			return nil, fmt.Errorf("rlctree: section %q has invalid %s = %g", name, v.label, v.val)
-		}
+	if err := checkValues(name, r, l, c); err != nil {
+		return nil, err
 	}
 	s := &Section{name: name, index: len(t.sections), parent: parent, tree: t}
 	pi := int32(-1)
@@ -171,6 +166,88 @@ func (t *Tree) AddSection(name string, parent *Section, r, l, c float64) (*Secti
 	}
 	t.bumpStructural()
 	return s, nil
+}
+
+// checkValues rejects a non-finite or negative element value of the
+// section named name, checking R, then L, then C.
+func checkValues(name string, r, l, c float64) error {
+	for _, v := range [...]struct {
+		label string
+		val   float64
+	}{{"R", r}, {"L", l}, {"C", c}} {
+		if math.IsNaN(v.val) || math.IsInf(v.val, 0) || v.val < 0 {
+			return fmt.Errorf("rlctree: section %q has invalid %s = %g", name, v.label, v.val)
+		}
+	}
+	return nil
+}
+
+// FromParents builds a whole tree in one pass from flat arrays: section i
+// is named names[i], hangs beneath section parent[i] (-1 = the input
+// node) and carries r[i], l[i] and c[i]. Every parent index must lie in
+// [-1, i), so index order is a top-down order, as AddSection makes it.
+// The result equals the tree AddSection builds section by section in
+// index order, and the first section AddSection would reject is rejected
+// here with the same error; the generation is bumped once.
+//
+// The tree takes ownership of parent, r, l and c; names is only read.
+// Every Section comes from one slab, and every children slice is a capped
+// window of one shared array, so a later append under a section
+// reallocates instead of writing into a sibling's window.
+func FromParents(names []string, parent []int32, r, l, c []float64) (*Tree, error) {
+	n := len(names)
+	if len(parent) != n || len(r) != n || len(l) != n || len(c) != n {
+		return nil, fmt.Errorf("rlctree: FromParents array lengths differ: %d names, %d parents, %d R, %d L, %d C",
+			n, len(parent), len(r), len(l), len(c))
+	}
+	t := &Tree{
+		sections:  make([]*Section, n),
+		byName:    make(map[string]*Section, n),
+		r:         r,
+		l:         l,
+		c:         c,
+		parentIdx: parent,
+	}
+	slab := make([]Section, n)
+	nkids := make([]int32, n) // children per section
+	var nonRoots int
+	for i, name := range names {
+		if name == "" {
+			return nil, fmt.Errorf("rlctree: section name must be non-empty")
+		}
+		s := &slab[i]
+		// One hash per name: a duplicate leaves the map a name short.
+		if t.byName[name] = s; len(t.byName) != i+1 {
+			return nil, fmt.Errorf("rlctree: duplicate section name %q", name)
+		}
+		p := parent[i]
+		if p < -1 || int(p) >= i {
+			return nil, fmt.Errorf("rlctree: section %q has parent index %d outside [-1, %d)", name, p, i)
+		}
+		if err := checkValues(name, r[i], l[i], c[i]); err != nil {
+			return nil, err
+		}
+		s.name, s.index, s.tree = name, i, t
+		if p >= 0 {
+			s.parent = &slab[p]
+			nkids[p]++
+			nonRoots++
+		}
+		t.sections[i] = s
+	}
+	kids := make([]*Section, nonRoots)
+	var off int32
+	for i, k := range nkids {
+		slab[i].children = kids[off : off : off+k]
+		off += k
+	}
+	for i, p := range parent {
+		if p >= 0 {
+			slab[p].children = append(slab[p].children, &slab[i])
+		}
+	}
+	t.bumpStructural()
+	return t, nil
 }
 
 // MustAddSection is AddSection that panics on error, for use in builders

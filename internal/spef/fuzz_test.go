@@ -54,16 +54,24 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
+// streamSeeds are FuzzStream's seed inputs; FuzzNetTree starts from them
+// too.
+var streamSeeds = []string{
+	sample,
+	samplePorts,
+	"*NAME_MAP\n*1 foo\n*PORTS\n*1 I\n*D_NET *1 1\n*RES\n1 a b 5\n*END\n",
+	"*D_NET n 1\n*CAP\n1 a 0.5\n*END\n*D_NET m 2\n*END\n",
+	"*D_NET n 1\n*CAP\n1 a 0.5\n",
+	"",
+}
+
 // FuzzStream: the streaming reader and the whole-file parser run one
 // grammar, so on ANY input they must agree net-for-net (same values in
 // the same order) and on acceptance: Stream fails iff Parse fails.
 func FuzzStream(f *testing.F) {
-	f.Add(sample)
-	f.Add(samplePorts)
-	f.Add("*NAME_MAP\n*1 foo\n*PORTS\n*1 I\n*D_NET *1 1\n*RES\n1 a b 5\n*END\n")
-	f.Add("*D_NET n 1\n*CAP\n1 a 0.5\n*END\n*D_NET m 2\n*END\n")
-	f.Add("*D_NET n 1\n*CAP\n1 a 0.5\n")
-	f.Add("")
+	for _, seed := range streamSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		whole, perr := ParseString(input)
 		s := NewStream(strings.NewReader(input))
@@ -102,6 +110,30 @@ func FuzzStream(f *testing.F) {
 		}
 		if serr != nil && guard.Class(serr) == nil {
 			t.Fatalf("stream error %v carries no guard class\ninput: %q", serr, input)
+		}
+	})
+}
+
+// FuzzNetTree: on every net of any input the parser accepts, the flat
+// Net.Tree and its map-based twin agree — equal fingerprints, or both fail
+// with the same message wherever the twin's message is not a random pick
+// among several offenders.
+func FuzzNetTree(f *testing.F) {
+	for _, seed := range streamSeeds {
+		f.Add(seed)
+	}
+	for _, c := range treeErrorNets {
+		f.Add(c.text)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		file, err := ParseString(input)
+		if err != nil {
+			return
+		}
+		for _, n := range file.Nets {
+			if msg := compareWithTwin(n, file.Units); msg != "" {
+				t.Fatalf("%s\ninput: %q", msg, input)
+			}
 		}
 	})
 }

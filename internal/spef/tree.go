@@ -1,9 +1,10 @@
 package spef
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 
 	"eedtree/internal/rlctree"
 )
@@ -16,7 +17,14 @@ import (
 // inductance is taken from the *INDUC branch between the same node pair
 // (zero when absent); grounded *CAP values attach to the corresponding
 // nodes. The parasitic network must be a tree rooted at the driver —
-// loops, disconnected nodes, or multiple drivers are reported as errors.
+// loops, disconnected nodes, or multiple drivers are reported as errors,
+// and an error names the first offender in file order.
+//
+// The build is one flat pass over dense node ids: the *RES branches form
+// a CSR adjacency (an offsets array over one half-edge array), a BFS from
+// the driver fills parent, R, L and C arrays, and rlctree.FromParents
+// turns them into the tree. Sections come out in BFS order, each node's
+// branches taken in neighbour-name order.
 func (n *Net) Tree(units Units) (*rlctree.Tree, error) {
 	if units.R == 0 || units.C == 0 || units.L == 0 {
 		return nil, fmt.Errorf("spef: invalid units %+v", units)
@@ -25,99 +33,174 @@ func (n *Net) Tree(units Units) (*rlctree.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Adjacency over resistor branches; inductance by node pair.
-	type edge struct {
-		other string
-		r, l  float64
+	// Intern node names to dense ids: the driver is 0, then the resistor
+	// nodes in file order, then nodes that carry only a capacitance.
+	nres := len(n.Ress)
+	ids := make(map[string]int32, nres+1)
+	names := make([]string, 0, nres+1)
+	intern := func(name string) int32 {
+		id, ok := ids[name]
+		if !ok {
+			id = int32(len(names))
+			ids[name] = id
+			names = append(names, name)
+		}
+		return id
 	}
-	induc := map[[2]string]float64{}
-	for _, b := range n.Inducs {
-		induc[pairKey(b.A, b.B)] += b.Value
-	}
-	adj := map[string][]edge{}
+	intern(driver)
+	ends := make([]int32, 2*nres) // branch i joins ends[2i] and ends[2i+1]
 	for i, b := range n.Ress {
 		if b.A == b.B {
 			return nil, fmt.Errorf("spef: net %q: resistor %d is a self-loop at %q", n.Name, i+1, b.A)
 		}
-		l := induc[pairKey(b.A, b.B)]
-		adj[b.A] = append(adj[b.A], edge{b.B, b.Value, l})
-		adj[b.B] = append(adj[b.B], edge{b.A, b.Value, l})
+		ends[2*i], ends[2*i+1] = intern(b.A), intern(b.B)
 	}
-	// Every inductor pair must lie on a resistor branch. Scanning the
-	// shorter of the two adjacency lists keeps the check linear on a
-	// tree: each branch is looked up from its lower-degree end.
-	for key := range induc {
-		a, b := key[0], key[1]
-		if len(adj[a]) > len(adj[b]) {
-			a, b = b, a
+	resNodes := len(names)
+
+	// CSR adjacency: node v's half-edges are half[off[v]:off[v+1]], in
+	// file order. Count degrees, prefix-sum them into start offsets, fill
+	// (each fill advances off[v] to v's end, the start of v+1), then
+	// shift the offsets back by one slot.
+	off := make([]int32, resNodes+1)
+	for _, v := range ends {
+		off[v+1]++
+	}
+	for v := range resNodes {
+		off[v+1] += off[v]
+	}
+	half := make([]halfEdge, 2*nres)
+	for i := range nres {
+		a, b := ends[2*i], ends[2*i+1]
+		half[off[a]] = halfEdge{to: b, branch: int32(i)}
+		off[a]++
+		half[off[b]] = halfEdge{to: a, branch: int32(i)}
+		off[b]++
+	}
+	copy(off[1:], off[:resNodes])
+	off[0] = 0
+
+	// Each *INDUC value adds onto the first *RES branch between its pair,
+	// in file order: the same sum, in the same order, for every branch the
+	// BFS can take. Scanning the lower-degree end keeps this linear on a
+	// tree. Extractors list *INDUC in *RES order, so the pair's ids are
+	// read off the branch at the same position when it joins that pair.
+	induc := make([]float64, nres)
+	for k, b := range n.Inducs {
+		a, z := int32(-1), int32(-1)
+		if k < nres && (n.Ress[k].A == b.A && n.Ress[k].B == b.B || n.Ress[k].A == b.B && n.Ress[k].B == b.A) {
+			a, z = ends[2*k], ends[2*k+1]
+		} else if ia, ok := ids[b.A]; ok {
+			if iz, ok := ids[b.B]; ok {
+				a, z = ia, iz
+			}
 		}
-		if !slices.ContainsFunc(adj[a], func(e edge) bool { return e.other == b }) {
+		e := int32(-1)
+		if a >= 0 && z >= 0 {
+			if off[a+1]-off[a] > off[z+1]-off[z] {
+				a, z = z, a
+			}
+			for _, h := range half[off[a]:off[a+1]] {
+				if h.to == z {
+					e = h.branch
+					break
+				}
+			}
+		}
+		if e < 0 {
+			key := pairKey(b.A, b.B)
 			return nil, fmt.Errorf("spef: net %q: *INDUC between %q and %q has no matching *RES branch", n.Name, key[0], key[1])
 		}
+		induc[e] += b.Value
 	}
-	caps := map[string]float64{}
-	for _, c := range n.Caps {
-		caps[c.Node] += c.Value
+	capAt := make([]float64, resNodes, cap(names))
+	for _, cp := range n.Caps {
+		id := intern(cp.Node)
+		if int(id) == len(capAt) {
+			capAt = append(capAt, 0)
+		}
+		capAt[id] += cp.Value
 	}
-	if len(adj) == 0 && len(caps) == 0 {
+	if nres == 0 && len(n.Caps) == 0 {
 		return nil, fmt.Errorf("spef: net %q has no parasitics", n.Name)
 	}
 
-	t := rlctree.New()
-	// Capacitance directly at the driver node: attach through an ideal
-	// junction so totals are preserved (it does not affect the response of
-	// an ideally driven tree).
-	if c, ok := caps[driver]; ok && c > 0 {
-		if _, err := t.AddSection(driver+"(drv)", nil, 0, 0, c*units.C); err != nil {
-			return nil, err
+	// The sections' arrays. Capacitance directly at the driver node
+	// attaches through an ideal junction so totals are preserved (it does
+	// not affect the response of an ideally driven tree).
+	secNames := make([]string, 0, nres+1)
+	parent := make([]int32, 0, nres+1)
+	r := make([]float64, 0, nres+1)
+	l := make([]float64, 0, nres+1)
+	c := make([]float64, 0, nres+1)
+	first := 0 // index of the first BFS section
+	if cd := capAt[0]; cd > 0 {
+		secNames = append(secNames, driver+"(drv)")
+		parent = append(parent, -1)
+		r, l, c = append(r, 0), append(l, 0), append(c, cd*units.C)
+		first = 1
+	}
+	// BFS from the driver, one section per traversed branch. The section
+	// of the node at queue[q] is first+q-1; the driver's is the input.
+	visited := make([]bool, len(names))
+	visited[0] = true
+	queue := make([]int32, 1, nres+1)
+	for q := 0; q < len(queue); q++ {
+		u := queue[q]
+		ps := int32(-1)
+		if q > 0 {
+			ps = int32(first + q - 1)
 		}
-	}
-	// BFS from the driver, creating one section per traversed branch.
-	visited := map[string]bool{driver: true}
-	type frontier struct {
-		node    string
-		section *rlctree.Section
-	}
-	queue := []frontier{{driver, nil}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		edges := adj[cur.node]
+		hs := half[off[u]:off[u+1]]
 		// Deterministic order for reproducible trees.
-		sort.Slice(edges, func(i, j int) bool { return edges[i].other < edges[j].other })
-		for _, e := range edges {
-			if visited[e.other] {
+		slices.SortFunc(hs, func(x, y halfEdge) int {
+			if d := strings.Compare(names[x.to], names[y.to]); d != 0 {
+				return d
+			}
+			return cmp.Compare(x.branch, y.branch)
+		})
+		for _, h := range hs {
+			if visited[h.to] {
 				continue
 			}
-			visited[e.other] = true
-			s, err := t.AddSection(e.other, cur.section, e.r*units.R, e.l*units.L, caps[e.other]*units.C)
-			if err != nil {
-				return nil, err
-			}
-			queue = append(queue, frontier{e.other, s})
+			visited[h.to] = true
+			queue = append(queue, h.to)
+			secNames = append(secNames, names[h.to])
+			parent = append(parent, ps)
+			r = append(r, n.Ress[h.branch].Value*units.R)
+			l = append(l, induc[h.branch]*units.L)
+			c = append(c, capAt[h.to]*units.C)
 		}
 	}
-	for node := range adj {
-		if !visited[node] {
-			return nil, fmt.Errorf("spef: net %q: node %q is not connected to the driver %q", n.Name, node, driver)
+	t, err := rlctree.FromParents(secNames, parent, r, l, c)
+	if err != nil {
+		return nil, err
+	}
+	for v := 1; v < resNodes; v++ {
+		if !visited[v] {
+			return nil, fmt.Errorf("spef: net %q: node %q is not connected to the driver %q", n.Name, names[v], driver)
 		}
 	}
-	for node := range caps {
-		if node != driver && !visited[node] {
-			return nil, fmt.Errorf("spef: net %q: capacitance at %q is not connected to the driver", n.Name, node)
-		}
+	// Every resistor node is reached, so the unreached nodes are those
+	// with only a capacitance; the first of them in file order has the
+	// first such id.
+	if len(names) > resNodes {
+		return nil, fmt.Errorf("spef: net %q: capacitance at %q is not connected to the driver", n.Name, names[resNodes])
 	}
 	// A tree over |visited| nodes has exactly |visited|−1 resistive
 	// branches; more means a resistive loop (including parallel branches).
-	if len(n.Ress) != len(visited)-1 {
+	if nres != len(queue)-1 {
 		return nil, fmt.Errorf("spef: net %q is not a tree: %d resistive branches over %d nodes",
-			n.Name, len(n.Ress), len(visited))
+			n.Name, nres, len(queue))
 	}
 	if t.Len() == 0 {
 		return nil, fmt.Errorf("spef: net %q produced an empty tree", n.Name)
 	}
 	return t, nil
 }
+
+// halfEdge is one end's view of a *RES branch: the node at the far end
+// and the branch's index in Net.Ress.
+type halfEdge struct{ to, branch int32 }
 
 // driverPin returns the unique driving pin of the net.
 func (n *Net) driverPin() (string, error) {
