@@ -82,20 +82,13 @@ func (n *Net) Tree(units Units) (*rlctree.Tree, error) {
 	// Each *INDUC value adds onto the first *RES branch between its pair,
 	// in file order: the same sum, in the same order, for every branch the
 	// BFS can take. Scanning the lower-degree end keeps this linear on a
-	// tree. Extractors list *INDUC in *RES order, so the pair's ids are
-	// read off the branch at the same position when it joins that pair.
+	// tree.
 	induc := make([]float64, nres)
-	for k, b := range n.Inducs {
-		a, z := int32(-1), int32(-1)
-		if k < nres && (n.Ress[k].A == b.A && n.Ress[k].B == b.B || n.Ress[k].A == b.B && n.Ress[k].B == b.A) {
-			a, z = ends[2*k], ends[2*k+1]
-		} else if ia, ok := ids[b.A]; ok {
-			if iz, ok := ids[b.B]; ok {
-				a, z = ia, iz
-			}
-		}
+	for _, b := range n.Inducs {
+		a, okA := ids[b.A]
+		z, okZ := ids[b.B]
 		e := int32(-1)
-		if a >= 0 && z >= 0 {
+		if okA && okZ {
 			if off[a+1]-off[a] > off[z+1]-off[z] {
 				a, z = z, a
 			}
