@@ -15,7 +15,6 @@ import (
 	"eedtree/internal/experiments"
 	"eedtree/internal/moments"
 	"eedtree/internal/mor"
-	"eedtree/internal/obs"
 	"eedtree/internal/rlctree"
 	"eedtree/internal/sources"
 	"eedtree/internal/transim"
@@ -98,59 +97,13 @@ func BenchmarkEngineParallelComplexity(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeTreeParallel is the observability overhead probe: the
-// engine's parallel sweep on a 16 384-section line tree with 4 workers,
-// with instrumentation enabled (the default). Its Baseline twin below runs
-// the identical workload with the obs switch off; `make obs-check`
-// compares the two and fails if instrumentation costs more than the 2%
-// budget documented in GUIDE.md §10.
+// BenchmarkAnalyzeTreeParallel times the engine's sharded sweep on a
+// 16 384-section line tree with 4 workers and instrumentation on (the
+// default). What the instrumentation costs is pinned as counts rather
+// than time: internal/engine's TestSweepHistogramsPerSweep (one sample
+// per histogram per sweep) and TestSweepAllocsIndependentOfObs
+// (allocations per sweep as with obs off).
 func BenchmarkAnalyzeTreeParallel(b *testing.B) {
-	benchAnalyzeTreeParallel(b, true)
-}
-
-// BenchmarkAnalyzeTreeParallelBaseline is the uninstrumented twin of
-// BenchmarkAnalyzeTreeParallel (global obs switch off).
-func BenchmarkAnalyzeTreeParallelBaseline(b *testing.B) {
-	benchAnalyzeTreeParallel(b, false)
-}
-
-// BenchmarkAnalyzeTreeParallelFlightArmed adds the flight recorder's
-// per-unit work to the instrumented sweep: reset one wide event, time the
-// sweep as the event's stage, Record it into the process-wide ring —
-// exactly what the engine pipeline pays per net and the service spine
-// per request. `make obs-check`
-// compares it against BenchmarkAnalyzeTreeParallel under the same 2%
-// budget, pinning the dormant recorder to one atomic bump plus a
-// preallocated slot copy (the capture buffer stays cold: the events are
-// healthy and fast).
-func BenchmarkAnalyzeTreeParallelFlightArmed(b *testing.B) {
-	obs.SetEnabled(true)
-	tree, err := rlctree.Line("w", 16384, rlctree.SectionValues{R: 1, L: 0.1e-9, C: 10e-15})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	eng := engine.New(engine.Options{Workers: 4})
-	fr := obs.DefaultFlight()
-	ev := &obs.WideEvent{}
-	evCtx := obs.WithEvent(ctx, ev)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		*ev = obs.WideEvent{Route: "bench.net", Net: "w"}
-		st, _ := obs.StartStage(evCtx, "analyze", nil)
-		if _, err := eng.AnalyzeTree(ctx, tree); err != nil {
-			b.Fatal(err)
-		}
-		ev.TotalNS = int64(st.End(""))
-		fr.Record(ev, nil)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tree.Len()), "ns/section")
-}
-
-func benchAnalyzeTreeParallel(b *testing.B, instrumented bool) {
-	b.Helper()
-	obs.SetEnabled(instrumented)
-	defer obs.SetEnabled(true)
 	tree, err := rlctree.Line("w", 16384, rlctree.SectionValues{R: 1, L: 0.1e-9, C: 10e-15})
 	if err != nil {
 		b.Fatal(err)

@@ -2,12 +2,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -17,7 +17,7 @@ import (
 
 // TestMain turns the test binary into chipflow when re-exec'd with
 // CHIPFLOW_E2E=1; the e2e tests pin the exit-code contract (0 ok,
-// 1 runtime or assertion failure, 2 usage) and the -out artifacts.
+// 1 runtime or assertion failure, 2 usage) and the printed report.
 func TestMain(m *testing.M) {
 	if os.Getenv("CHIPFLOW_E2E") == "1" {
 		os.Exit(realMain())
@@ -45,63 +45,77 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 }
 
 func TestE2ESynthVerified(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "run")
-	code, stdout, stderr := runCLI(t, "-synth", "500", "-sections", "8", "-j", "4", "-topk", "5",
-		"-verify", "-out", out)
+	code, stdout, stderr := runCLI(t, "-synth", "500", "-sections", "8", "-j", "4", "-topk", "5", "-verify")
 	if code != 0 {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
-	if !strings.Contains(stdout, "verify: OK") {
-		t.Fatalf("no verification line in output:\n%s", stdout)
+	for _, want := range []string{"\n500 nets (0 failed), ", "\nverify: OK", "\nchip: 500 nets, "} {
+		if !strings.Contains(stdout, want) {
+			t.Fatalf("no %q line in output:\n%s", strings.TrimSpace(want), stdout)
+		}
 	}
-	js, err := os.ReadFile(out + ".json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var run chipRun
-	if err := json.Unmarshal(js, &run); err != nil {
-		t.Fatal(err)
-	}
-	if run.Stats.Nets != 500 || run.Stats.Failed != 0 || !run.Verified {
-		t.Fatalf("run = %+v", run.Stats)
-	}
-	if run.Report.Nets != 500 || len(run.Report.Critical) != 5 {
-		t.Fatalf("report: %d nets, %d critical", run.Report.Nets, len(run.Report.Critical))
-	}
-	if _, err := os.Stat(out + ".txt"); err != nil {
-		t.Fatal(err)
+	if rows := criticalRows(stdout); len(rows) != 5 {
+		t.Fatalf("%d critical nets, want 5:\n%s", len(rows), stdout)
 	}
 }
 
 // TestE2ESynthDeterministic: same seed, same report — the generator and
 // the pipeline are deterministic end to end, including the verify hash.
+// Only the lines that carry wall time, throughput or memory may differ.
 func TestE2ESynthDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	var runs [2]chipRun
-	for i := range runs {
-		out := filepath.Join(dir, "run"+string(rune('a'+i)))
-		code, stdout, stderr := runCLI(t, "-synth", "300", "-sections", "6", "-j", "3",
-			"-seed", "7", "-verify", "-out", out)
+	var hashes [2]string
+	var reports [2][]string
+	for i := range reports {
+		code, stdout, stderr := runCLI(t, "-synth", "300", "-sections", "6", "-j", "3", "-seed", "7", "-verify")
 		if code != 0 {
 			t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 		}
-		js, err := os.ReadFile(out + ".json")
-		if err != nil {
-			t.Fatal(err)
+		m := verifyHashRe.FindStringSubmatch(stdout)
+		if m == nil {
+			t.Fatalf("no verify hash in output:\n%s", stdout)
 		}
-		if err := json.Unmarshal(js, &runs[i]); err != nil {
-			t.Fatal(err)
+		if len(criticalRows(stdout)) == 0 {
+			t.Fatalf("no critical nets in output:\n%s", stdout)
+		}
+		hashes[i], reports[i] = m[1], reportLines(stdout)
+	}
+	if hashes[0] != hashes[1] {
+		t.Fatalf("verify hashes differ: %q vs %q", hashes[0], hashes[1])
+	}
+	if a, b := strings.Join(reports[0], "\n"), strings.Join(reports[1], "\n"); a != b {
+		t.Fatalf("reports differ:\n%s\n---\n%s", a, b)
+	}
+}
+
+var verifyHashRe = regexp.MustCompile(`(?m)^verify: OK .*\(hash ([0-9a-f]{16})\)$`)
+
+// reportLines returns chipflow's report without the two lines that carry
+// wall time, throughput and memory, which differ from run to run.
+func reportLines(stdout string) []string {
+	var out []string
+	for _, line := range strings.Split(stdout, "\n") {
+		if strings.Contains(line, " nets/s, ") || strings.HasPrefix(line, "peak heap ") {
+			continue
+		}
+		out = append(out, line)
+	}
+	return out
+}
+
+// criticalRows returns the rows of the report's critical-net table: the
+// non-empty lines after its "#" header.
+func criticalRows(stdout string) []string {
+	_, table, ok := strings.Cut(stdout, "\n# ")
+	if !ok {
+		return nil
+	}
+	var rows []string
+	for _, line := range strings.Split(table, "\n")[1:] {
+		if strings.TrimSpace(line) != "" {
+			rows = append(rows, line)
 		}
 	}
-	a, b := runs[0], runs[1]
-	if a.VerifyHash != b.VerifyHash || a.VerifyHash == "" {
-		t.Fatalf("verify hashes differ: %q vs %q", a.VerifyHash, b.VerifyHash)
-	}
-	ra, _ := json.Marshal(a.Report)
-	rb, _ := json.Marshal(b.Report)
-	if string(ra) != string(rb) {
-		t.Fatalf("reports differ:\n%s\n%s", ra, rb)
-	}
+	return rows
 }
 
 func TestE2EFileInput(t *testing.T) {

@@ -18,7 +18,7 @@
 // Usage:
 //
 //	chipflow [flags] design.spef
-//	chipflow -synth 1000000 -sections 50 -j 8 -topk 10 -out BENCH_PR8
+//	chipflow -synth 1000000 -sections 50 -j 8 -topk 10 -verify
 package main
 
 import (
@@ -59,17 +59,16 @@ type config struct {
 	input    string
 }
 
-// chipRun is the machine-readable record of one chipflow execution —
-// the BENCH_PR8.json shape.
+// chipRun is what one chipflow execution reports.
 type chipRun struct {
-	Input      string               `json:"input"`
-	SynthNets  int                  `json:"synth_nets,omitempty"`
-	SynthSecs  int                  `json:"synth_sections_per_net,omitempty"`
-	Seed       int64                `json:"seed,omitempty"`
-	Verified   bool                 `json:"verified"`
-	VerifyHash string               `json:"verify_hash,omitempty"`
-	Stats      engine.PipelineStats `json:"stats"`
-	Report     timing.ChipReport    `json:"report"`
+	Input      string
+	SynthNets  int
+	SynthSecs  int
+	Seed       int64
+	Verified   bool
+	VerifyHash string
+	Stats      engine.PipelineStats
+	Report     timing.ChipReport
 }
 
 func realMain() int {
@@ -84,7 +83,6 @@ func realMain() int {
 	maxNets := flag.Int("max-nets", 0, "abort past this many nets (0 = sized for the input)")
 	maxElems := flag.Int("max-elements", 0, "abort past this many parasitic elements (0 = sized for the input)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
-	out := flag.String("out", "", `output path prefix; writes <out>.json and <out>.txt ("" = stdout only)`)
 	metricsOut := flag.String("metrics", "", `write the metrics exposition to this file at exit ("-" = stdout, *.json = JSON form)`)
 	traceOut := flag.String("trace", "", `write the pipeline span tree as JSON to this file at exit ("-" = stdout)`)
 	failedOut := flag.String("failed", "", `write the failed-net wide events retained by the flight recorder as JSON to this file at exit ("-" = stdout)`)
@@ -153,22 +151,7 @@ func realMain() int {
 		return 1
 	}
 
-	text := renderText(run)
-	fmt.Print(text)
-	if *out != "" {
-		js, jerr := json.MarshalIndent(run, "", "  ")
-		if jerr == nil {
-			jerr = os.WriteFile(*out+".json", append(js, '\n'), 0o644)
-		}
-		if jerr == nil {
-			jerr = os.WriteFile(*out+".txt", []byte(text), 0o644)
-		}
-		if jerr != nil {
-			fmt.Fprintf(os.Stderr, "chipflow: -out: %v\n", jerr)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "chipflow: wrote %s.json and %s.txt\n", *out, *out)
-	}
+	fmt.Print(renderText(run))
 	if *assertRSSMB > 0 && run.Stats.PeakRSS > uint64(*assertRSSMB)<<20 {
 		fmt.Fprintf(os.Stderr, "chipflow: peak RSS %d MiB exceeds the %d MiB bound\n",
 			run.Stats.PeakRSS>>20, *assertRSSMB)

@@ -18,14 +18,14 @@
 // it with SIGTERM; without it the soak runs against an in-process server
 // on a loopback listener and restarts it by bouncing the listener.
 //
-// The verdict and per-phase numbers are written to <out>.json and
-// <out>.txt. Exit status: 0 all gates pass, 1 a gate failed, 2 usage.
+// The verdict and per-phase numbers go to stdout. Exit status: 0 all
+// gates pass, 1 a gate failed, 2 usage.
 //
 // Usage:
 //
 //	eedchaos -net examples/nets/line64.tree [-d 30s] [-c 8] \
 //	         [-eedd ./eedd] [-seed 1] [-budget 1.0] \
-//	         [-p50-gate 5ms] [-recover-within 5s] [-out BENCH_PR7]
+//	         [-p50-gate 5ms] [-recover-within 5s]
 package main
 
 import (
@@ -33,7 +33,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -70,10 +69,10 @@ func main() {
 // template; an empty spec clears all faults. The restart phase stops and
 // restarts the server instead of arming anything.
 type phase struct {
-	Name    string  `json:"name"`
-	Frac    float64 `json:"frac"`
-	Spec    string  `json:"spec,omitempty"`
-	Restart bool    `json:"restart,omitempty"`
+	Name    string
+	Frac    float64
+	Spec    string
+	Restart bool
 }
 
 // The schedule: ramp from clean baseline through every fault family,
@@ -106,35 +105,35 @@ type config struct {
 }
 
 type phaseStats struct {
-	Name    string  `json:"name"`
-	Ops     int64   `json:"ops"`
-	Errors  int64   `json:"errors"`
-	Elapsed float64 `json:"elapsed_s"`
+	Name    string
+	Ops     int64
+	Errors  int64
+	Elapsed float64 // seconds
 }
 
 type chaosReport struct {
-	Net            string         `json:"net"`
-	Mode           string         `json:"mode"` // "in-process" or "daemon"
-	Addr           string         `json:"addr"`
-	DurationS      float64        `json:"duration_s"`
-	Concurrency    int            `json:"concurrency"`
-	Seed           int64          `json:"seed"`
-	Phases         []phaseStats   `json:"phases"`
-	TotalOps       int64          `json:"total_ops"`
-	Success        int64          `json:"success"`
-	Recovered      int64          `json:"recovered"` // failed once, healed by harness re-register/health-wait
-	Failed         int64          `json:"failed"`
-	FailedByClass  map[string]int `json:"failed_by_class,omitempty"`
-	Mismatches     int64          `json:"mismatches"`
-	MismatchSample string         `json:"mismatch_sample,omitempty"`
-	ClientRetries  uint64         `json:"client_retries"`
-	BreakerTrips   uint64         `json:"breaker_trips"`
-	SuccessRatePct float64        `json:"success_rate_pct"`
-	BudgetPct      float64        `json:"budget_pct"`
-	RecoveredInS   float64        `json:"recovered_in_s"` // -1 = never
-	RecoveryP50us  float64        `json:"recovery_p50_us"`
-	P50GateUs      float64        `json:"p50_gate_us"`
-	GateFailures   []string       `json:"gate_failures,omitempty"`
+	Net            string
+	Mode           string // "in-process" or "daemon"
+	Addr           string
+	DurationS      float64
+	Concurrency    int
+	Seed           int64
+	Phases         []phaseStats
+	TotalOps       int64
+	Success        int64
+	Recovered      int64 // failed once, healed by harness re-register/health-wait
+	Failed         int64
+	FailedByClass  map[string]int
+	Mismatches     int64
+	MismatchSample string
+	ClientRetries  uint64
+	BreakerTrips   uint64
+	SuccessRatePct float64
+	BudgetPct      float64
+	RecoveredInS   float64 // -1 = never
+	RecoveryP50us  float64
+	P50GateUs      float64
+	GateFailures   []string
 }
 
 func realMain() int {
@@ -147,7 +146,6 @@ func realMain() int {
 	budget := flag.Float64("budget", 1.0, "max percent of ops that may fail after retries")
 	p50Gate := flag.Duration("p50-gate", 5*time.Millisecond, "warm point-query p50 the server must recover to, measured under the still-running worker load")
 	recoverWithin := flag.Duration("recover-within", 5*time.Second, "how quickly after the last fault the p50 gate must hold")
-	out := flag.String("out", "BENCH_PR7", `output path prefix; writes <out>.json and <out>.txt ("" = stdout only)`)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: eedchaos [flags]\n")
 		flag.PrintDefaults()
@@ -165,24 +163,7 @@ func realMain() int {
 		fmt.Fprintf(os.Stderr, "eedchaos: %v\n", err)
 		return 1
 	}
-	text := renderText(report)
-	fmt.Print(text)
-	if *out != "" {
-		js, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "eedchaos: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(*out+".json", append(js, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "eedchaos: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(*out+".txt", []byte(text), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "eedchaos: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "eedchaos: wrote %s.json and %s.txt\n", *out, *out)
-	}
+	fmt.Print(renderText(report))
 	if len(report.GateFailures) > 0 {
 		for _, g := range report.GateFailures {
 			fmt.Fprintf(os.Stderr, "eedchaos: GATE FAILED: %s\n", g)
@@ -453,6 +434,9 @@ func (s *soak) noteMismatch(desc string) {
 	s.mu.Unlock()
 }
 
+// noteFailure books one unrecovered op under its failure class. A
+// breaker refusal carries the class and status of the failure that
+// opened the breaker, so it is recognized by its sentinel first.
 func (s *soak) noteFailure(err error) {
 	s.failed.Add(1)
 	s.phaseErr[s.phaseIdx.Load()].Add(1)
@@ -460,10 +444,10 @@ func (s *soak) noteFailure(err error) {
 	var ce *eedclient.Error
 	if errors.As(err, &ce) {
 		switch {
+		case errors.Is(ce.Err, eedclient.ErrBreakerOpen):
+			class = "breaker_open"
 		case ce.Class != "":
 			class = ce.Class
-		case ce.Err != nil && strings.Contains(ce.Err.Error(), "breaker"):
-			class = "breaker_open"
 		case ce.Status != 0:
 			class = fmt.Sprintf("http_%d", ce.Status)
 		}

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"eedtree/internal/eedclient"
 	"eedtree/internal/eedsrv"
 	"eedtree/internal/faultinj"
 )
@@ -44,6 +47,30 @@ func TestSameResultIsBitExact(t *testing.T) {
 		if sameResult(a, c) {
 			t.Fatalf("%s: differing results reported equal", name)
 		}
+	}
+}
+
+// TestFailureClassBreakerRefusal: a breaker refusal inherits the status
+// and class of the failure that opened the breaker, yet it is booked as
+// breaker_open, apart from the real failures of that class.
+func TestFailureClassBreakerRefusal(t *testing.T) {
+	s := &soak{phaseErr: make([]atomic.Int64, 1), failedByClass: map[string]int{}}
+	s.noteFailure(&eedclient.Error{Op: "delay", Status: 503, Class: "draining"})
+	s.noteFailure(&eedclient.Error{Op: "delay", Status: 503, Class: "draining", Err: eedclient.ErrBreakerOpen})
+	s.noteFailure(&eedclient.Error{Op: "delay", Err: eedclient.ErrBreakerOpen})
+	s.noteFailure(&eedclient.Error{Op: "delay", Status: 502})
+	s.noteFailure(errors.New("plain transport failure"))
+	want := map[string]int{"draining": 1, "breaker_open": 2, "http_502": 1, "transport": 1}
+	for cls, n := range want {
+		if got := s.failedByClass[cls]; got != n {
+			t.Errorf("class %s = %d, want %d (all: %v)", cls, got, n, s.failedByClass)
+		}
+	}
+	if len(s.failedByClass) != len(want) {
+		t.Errorf("classes = %v, want %v", s.failedByClass, want)
+	}
+	if s.failed.Load() != 5 || s.phaseErr[0].Load() != 5 {
+		t.Errorf("failed = %d, phase errors = %d, want 5 and 5", s.failed.Load(), s.phaseErr[0].Load())
 	}
 }
 

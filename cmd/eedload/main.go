@@ -1,9 +1,9 @@
 // Command eedload is the load harness for the eedd delay service: it
 // drives a mixed request stream (point queries, whole-tree sweeps,
 // incremental edits, batches) at a server for a fixed duration and
-// records per-operation latency percentiles, total throughput and a
-// per-guard-class error breakdown as BENCH_PR6.json (machine-readable)
-// and BENCH_PR6.txt (human-readable).
+// prints per-operation latency percentiles, total throughput and a
+// per-guard-class error breakdown. -assert-warm-p50 turns the warm
+// point-query p50 into an exit status.
 //
 // With -addr it targets a running daemon; without it the harness starts
 // an in-process server on a loopback listener, so the numbers still
@@ -24,13 +24,12 @@
 // Usage:
 //
 //	eedload -net examples/nets/line64.tree [-d 30s] [-c 8] \
-//	        [-mix delay=90,analyze=5,edit=5] [-retries 0] [-out BENCH_PR6]
+//	        [-mix delay=90,analyze=5,edit=5] [-retries 0] [-assert-warm-p50 1ms]
 package main
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -59,31 +58,29 @@ func main() {
 var opNames = []string{"delay", "analyze", "edit", "batch"}
 
 type opStats struct {
-	CountN        int            `json:"count"`
-	Errors        int            `json:"errors"`
-	ErrorsByClass map[string]int `json:"errors_by_class,omitempty"`
-	P50us         float64        `json:"p50_us"`
-	P90us         float64        `json:"p90_us"`
-	P99us         float64        `json:"p99_us"`
-	Maxus         float64        `json:"max_us"`
-	MeanUs        float64        `json:"mean_us"`
-	Throughpt     float64        `json:"rps"`
+	CountN        int
+	ErrorsByClass map[string]int
+	P50us         float64
+	P90us         float64
+	P99us         float64
+	Maxus         float64
+	Throughpt     float64
 }
 
 type benchReport struct {
-	Net           string             `json:"net"`
-	Sections      int                `json:"sections"`
-	Addr          string             `json:"addr"`
-	InProcess     bool               `json:"in_process"`
-	DurationS     float64            `json:"duration_s"`
-	Concurrency   int                `json:"concurrency"`
-	Mix           map[string]int     `json:"mix"`
-	MaxRetries    int                `json:"max_retries"`
-	TotalRequests int                `json:"total_requests"`
-	TotalErrors   int                `json:"total_errors"`
-	TotalRetries  uint64             `json:"total_retries,omitempty"`
-	Throughput    float64            `json:"throughput_rps"`
-	Ops           map[string]opStats `json:"ops"`
+	Net           string
+	Sections      int
+	Addr          string
+	InProcess     bool
+	DurationS     float64
+	Concurrency   int
+	Mix           map[string]int
+	MaxRetries    int
+	TotalRequests int
+	TotalErrors   int
+	TotalRetries  uint64
+	Throughput    float64
+	Ops           map[string]opStats
 }
 
 func realMain() int {
@@ -93,7 +90,6 @@ func realMain() int {
 	conc := flag.Int("c", 8, "concurrent client workers")
 	mixFlag := flag.String("mix", "delay=90,analyze=5,edit=5", "operation weights: delay,analyze,edit,batch")
 	retries := flag.Int("retries", 0, "client retry budget per request (0 = single attempt, breaker off: pure measurement)")
-	out := flag.String("out", "BENCH_PR6", `output path prefix; writes <out>.json and <out>.txt ("" = stdout only)`)
 	assertWarmP50 := flag.Duration("assert-warm-p50", 0, "fail (exit 1) if the warm point-query p50 exceeds this (0 = no assertion)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: eedload -net <tree-file> [flags]\n")
@@ -117,24 +113,7 @@ func realMain() int {
 		return 1
 	}
 
-	text := renderText(report)
-	fmt.Print(text)
-	if *out != "" {
-		js, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "eedload: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(*out+".json", append(js, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "eedload: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(*out+".txt", []byte(text), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "eedload: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "eedload: wrote %s.json and %s.txt\n", *out, *out)
-	}
+	fmt.Print(renderText(report))
 	if *assertWarmP50 > 0 {
 		p50 := time.Duration(report.Ops["delay"].P50us * float64(time.Microsecond))
 		if report.Ops["delay"].CountN == 0 {
@@ -396,20 +375,15 @@ func run(netFile, addr string, dur time.Duration, conc int, mix map[string]int, 
 			continue
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		st := opStats{CountN: len(all), Errors: errs}
+		st := opStats{CountN: len(all)}
 		if errs > 0 {
 			st.ErrorsByClass = byClass
 		}
 		if len(all) > 0 {
-			var sum time.Duration
-			for _, d := range all {
-				sum += d
-			}
 			st.P50us = us(obs.Percentile(all, 50))
 			st.P90us = us(obs.Percentile(all, 90))
 			st.P99us = us(obs.Percentile(all, 99))
 			st.Maxus = us(all[len(all)-1])
-			st.MeanUs = us(sum / time.Duration(len(all)))
 			st.Throughpt = float64(len(all)) / dur.Seconds()
 		}
 		report.Ops[name] = st

@@ -2,15 +2,13 @@ package main
 
 import (
 	"errors"
+	"path/filepath"
+	"testing"
+	"time"
 
 	"eedtree/internal/eedclient"
 	"eedtree/internal/faultinj"
 	"eedtree/internal/obs"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-	"time"
 )
 
 func TestParseMix(t *testing.T) {
@@ -45,8 +43,8 @@ func TestPct(t *testing.T) {
 }
 
 // TestShortRunInProcess drives the full harness — in-process server,
-// registration, warmup, mixed load, report files — for a fraction of a
-// second and checks the recorded artifacts.
+// registration, warmup, mixed load, report — for a fraction of a second
+// and checks the report.
 func TestShortRunInProcess(t *testing.T) {
 	netFile := filepath.Join("..", "..", "examples", "nets", "line64.tree")
 	mix := map[string]int{"delay": 8, "analyze": 1, "edit": 1, "batch": 1}
@@ -72,19 +70,6 @@ func TestShortRunInProcess(t *testing.T) {
 			t.Fatalf("op %s: implausible percentiles %+v", op, st)
 		}
 	}
-
-	// The report serializes and round-trips.
-	js, err := json.Marshal(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back benchReport
-	if err := json.Unmarshal(js, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.TotalRequests != report.TotalRequests {
-		t.Fatal("report did not round-trip")
-	}
 	if txt := renderText(report); len(txt) == 0 {
 		t.Fatal("empty text report")
 	}
@@ -93,9 +78,6 @@ func TestShortRunInProcess(t *testing.T) {
 func TestRunRejectsMissingNet(t *testing.T) {
 	if _, err := run(filepath.Join(t.TempDir(), "nope.tree"), "", time.Second, 1, map[string]int{"delay": 1}, 0); err == nil {
 		t.Fatal("missing net file should error")
-	}
-	if _, err := os.Stat("BENCH_PR6.json"); err == nil {
-		t.Fatal("run() must not write artifacts itself")
 	}
 }
 

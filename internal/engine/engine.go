@@ -95,8 +95,9 @@ func (e *Engine) AnalyzeTree(ctx context.Context, t *rlctree.Tree) ([]core.NodeA
 	workers := min(e.workers, n)
 	// Instrumentation is per-sweep (a few clock reads and histogram
 	// records amortized over the whole tree), never per-node, so the
-	// kernel loop below runs exactly as fast as the uninstrumented
-	// baseline — the invariant `make obs-check` enforces.
+	// kernel loop below runs exactly as the uninstrumented one does —
+	// TestSweepHistogramsPerSweep and TestSweepAllocsIndependentOfObs
+	// pin it.
 	lat := obs.Time(mSweepLatency)
 	if workers == 1 || n < parallelThreshold {
 		out, err := core.AnalyzeTreeCtx(ctx, t)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+	"time"
 
 	"eedtree/internal/obs"
 	"eedtree/internal/rlctree"
@@ -67,10 +68,10 @@ func TestCacheCountersMatchCacheStats(t *testing.T) {
 	}
 }
 
-// TestSweepHistogramsPerSweep: the engine records exactly one latency and
-// one worker-width sample per analysis sweep (a session answering from
-// its held result records nothing), keeping instrumentation off the
-// per-node path.
+// TestSweepHistogramsPerSweep: instrumentation is paid per sweep, never
+// per node. A session answering from its held result records nothing,
+// and one Engine.AnalyzeTree on the sharded path adds exactly one sample
+// to each histogram the sweep feeds, whatever the tree size.
 func TestSweepHistogramsPerSweep(t *testing.T) {
 	ctx := context.Background()
 	eng := New(Options{Workers: 3})
@@ -93,11 +94,79 @@ func TestSweepHistogramsPerSweep(t *testing.T) {
 	if got := mSweepWorkers.Count() - wrk0; got != 1 {
 		t.Errorf("sweep worker samples = %d, want 1", got)
 	}
+
+	hists := []*obs.Histogram{
+		obs.Default().Histogram("eed_core_sums_latency_ns", "", obs.DefaultLatencyBuckets),
+		obs.Default().Histogram("eed_core_kernel_latency_ns", "", obs.DefaultLatencyBuckets),
+		mSweepLatency,
+		mSweepWorkers,
+	}
+	for _, n := range []int{4096, 16384} {
+		tree, err := rlctree.Line("w", n, rlctree.SectionValues{R: 1, L: 0.1e-9, C: 10e-15})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := make([]uint64, len(hists))
+		for i, h := range hists {
+			before[i] = h.Count()
+		}
+		if _, err := eng.AnalyzeTree(ctx, tree); err != nil {
+			t.Fatal(err)
+		}
+		for i, h := range hists {
+			if got := h.Count() - before[i]; got != 1 {
+				t.Errorf("%d sections: %s samples = %d, want 1", n, h.Name(), got)
+			}
+		}
+	}
+}
+
+// TestSweepAllocsIndependentOfObs: a sweep allocates the same with
+// instrumentation on as with it off, and so does the pipeline's per-net
+// wrapping of it — a stage on a wide event, then FlightRecorder.Record
+// of the healthy event. The slack of 2 absorbs worker goroutine start-up,
+// which varies by one from run to run.
+func TestSweepAllocsIndependentOfObs(t *testing.T) {
+	ctx := context.Background()
+	eng := New(Options{Workers: 4})
+	tree, err := rlctree.Line("w", 4096, rlctree.SectionValues{R: 1, L: 0.1e-9, C: 10e-15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func() {
+		if _, err := eng.AnalyzeTree(ctx, tree); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := obs.NewFlightRecorder(16, 4, time.Hour)
+	ev := &obs.WideEvent{}
+	evCtx := obs.WithEvent(ctx, ev)
+	recorded := func() {
+		*ev = obs.WideEvent{Route: "pipeline.net", Net: "w"}
+		st, _ := obs.StartStage(evCtx, "analyze", nil)
+		sweep()
+		ev.TotalNS = int64(st.End(""))
+		fr.Record(ev, nil)
+	}
+
+	defer obs.SetEnabled(true)
+	obs.SetEnabled(false)
+	off := testing.AllocsPerRun(5, sweep)
+	obs.SetEnabled(true)
+	on := testing.AllocsPerRun(5, sweep)
+	withEvent := testing.AllocsPerRun(5, recorded)
+	t.Logf("allocations per sweep: obs off %.0f, on %.0f, with event and Record %.0f", off, on, withEvent)
+	if on > off+2 {
+		t.Errorf("obs on: %.0f allocations per sweep, obs off %.0f", on, off)
+	}
+	if withEvent > off+2 {
+		t.Errorf("stage plus Record: %.0f allocations per sweep, obs off %.0f", withEvent, off)
+	}
 }
 
 // TestObsOffRecordsNothing: with the global switch off, an analysis leaves
-// every engine metric untouched — the contract the overhead budget and
-// BenchmarkAnalyzeTreeParallelBaseline rest on.
+// every engine metric untouched — the contract the obs-off side of
+// TestSweepAllocsIndependentOfObs rests on.
 func TestObsOffRecordsNothing(t *testing.T) {
 	obs.SetEnabled(false)
 	defer obs.SetEnabled(true)

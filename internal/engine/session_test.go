@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"eedtree/internal/core"
+	"eedtree/internal/faultinj"
 	"eedtree/internal/guard"
 	"eedtree/internal/rlctree"
 )
@@ -190,38 +191,90 @@ func TestSessionDetachOnlyRootRefused(t *testing.T) {
 // edits and one sink query — allocates nothing per cycle once warm, so
 // 10,000 cycles stay under a 64 KiB budget. The bytes are read from
 // runtime.MemStats.TotalAlloc, because an amortized per-edit cost (such
-// as a growing history slice) reads as 0 in testing.AllocsPerRun.
+// as a growing history slice) reads as 0 in testing.AllocsPerRun. The
+// second case arms a fault plan whose only rule never fires: the loop
+// then pays one fault decision per query and still allocates nothing.
 func TestSessionEditPathByteBudget(t *testing.T) {
-	tree, err := rlctree.Line("w", 64, rlctree.SectionValues{R: 10, L: 1e-9, C: 50e-15})
+	for _, tc := range []struct{ name, faults string }{
+		{"unarmed", ""},
+		{"dormant_plan", "seed=1;sess.numeric:p=0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var plan *faultinj.Plan
+			if tc.faults != "" {
+				var err error
+				if plan, err = faultinj.Parse(tc.faults); err != nil {
+					t.Fatal(err)
+				}
+				faultinj.Activate(plan)
+				defer faultinj.Deactivate()
+			}
+			tree, err := rlctree.Line("w", 64, rlctree.SectionValues{R: 10, L: 1e-9, C: 50e-15})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := NewSession(tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			secs := tree.Sections()
+			sink := secs[len(secs)-1]
+			const cycles = 10000
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < cycles; i++ {
+				sec := secs[i%len(secs)]
+				w := 1 + float64(i%7)
+				if err := sess.SetC(sec, 50e-15*w); err != nil {
+					t.Fatal(err)
+				}
+				if err := sess.SetR(sec, 10/w); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sess.DelayAt(sink); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			const budget = 64 << 10
+			if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+				t.Fatalf("%d edit-query cycles allocated %d B (%d mallocs), budget %d B",
+					cycles, got, after.Mallocs-before.Mallocs, budget)
+			}
+			if plan != nil {
+				st := plan.Stats()[0]
+				if st.Calls != cycles || st.Fired != 0 {
+					t.Fatalf("dormant plan saw %d decisions and %d fires over %d queries, want %d and 0",
+						st.Calls, st.Fired, cycles, cycles)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSessionQuery times the loop of TestSessionEditPathByteBudget
+// on a 512-section line: one value edit, then one sink query.
+func BenchmarkSessionQuery(b *testing.B) {
+	tree, err := rlctree.Line("b", 512, rlctree.SectionValues{R: 25, L: 1e-9, C: 50e-15})
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
 	sess, err := NewSession(tree)
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
 	secs := tree.Sections()
 	sink := secs[len(secs)-1]
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 10000; i++ {
-		sec := secs[i%len(secs)]
-		w := 1 + float64(i%7)
-		if err := sess.SetC(sec, 50e-15*w); err != nil {
-			t.Fatal(err)
-		}
-		if err := sess.SetR(sec, 10/w); err != nil {
-			t.Fatal(err)
+	mid := secs[len(secs)/2]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sess.SetC(mid, 50e-15+float64(i%7)*1e-15); err != nil {
+			b.Fatal(err)
 		}
 		if _, err := sess.DelayAt(sink); err != nil {
-			t.Fatal(err)
+			b.Fatal(err)
 		}
-	}
-	runtime.ReadMemStats(&after)
-	const budget = 64 << 10
-	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
-		t.Fatalf("10000 edit-query cycles allocated %d B (%d mallocs), budget %d B",
-			got, after.Mallocs-before.Mallocs, budget)
 	}
 }
 

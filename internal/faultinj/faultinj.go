@@ -7,9 +7,10 @@
 //
 // Discipline mirrors internal/obs: when no plan is active the per-site
 // cost is one atomic pointer load (Fire returns false immediately), so
-// production binaries carry the points for free; `make fault-check` gates
-// that claim with a twin benchmark the same way `make obs-check` gates
-// the metrics layer.
+// production binaries carry the points for free. An armed plan whose
+// rules never fire costs one decision per site and no allocation; the
+// engine's TestSessionEditPathByteBudget counts both on the session
+// query path.
 //
 // Determinism. A plan carries a seed; each rule keeps an atomic arrival
 // counter, and the fire/skip decision for arrival n is a pure function of

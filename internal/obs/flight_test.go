@@ -42,6 +42,19 @@ func TestFlightRecorderRecordAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderRecordAllocatesNothing: recording a healthy event is
+// one atomic bump plus a copy into a preallocated ring slot, so the
+// recorder can stay armed on every request and every pipeline net.
+func TestFlightRecorderRecordAllocatesNothing(t *testing.T) {
+	f := NewFlightRecorder(16, 4, time.Second)
+	ev := &WideEvent{RequestID: "req-1", Route: "/v1/delay", Net: "n", Status: 200, TotalNS: 1000}
+	ev.AddStage("resolve", time.Microsecond)
+	ev.AddStage("analyze", 2*time.Microsecond)
+	if got := testing.AllocsPerRun(100, func() { f.Record(ev, nil) }); got != 0 {
+		t.Fatalf("Record of a healthy event: %.0f allocations, want 0", got)
+	}
+}
+
 func TestFlightRecorderRingWraps(t *testing.T) {
 	f := NewFlightRecorder(16, 4, time.Second)
 	for i := 0; i < 40; i++ {

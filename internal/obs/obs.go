@@ -22,9 +22,8 @@
 //     package variables.
 //   - Everything is optional. The global switch lives here: while it is
 //     off, counters, histograms and Gauge.Set record nothing and a stage
-//     with no trace or event reads no clock, so the uninstrumented
-//     baseline remains measurable (see `make obs-check`) without a guard
-//     at each call site. Call sites read On() only to skip real work —
+//     with no trace or event reads no clock, so switching it off leaves
+//     an uninstrumented baseline without a guard at each call site. Call sites read On() only to skip real work —
 //     building a wide event, an O(n) tally — or to keep a gauge's paired
 //     Inc and Dec on the same side of a flip. With no Trace in the
 //     context a stage opens no span.
@@ -38,9 +37,9 @@ import (
 	"time"
 )
 
-// enabled is the global instrumentation switch. It defaults to on; the
-// overhead benchmark (BenchmarkAnalyzeTreeParallelBaseline) turns it off
-// to measure the uninstrumented hot path.
+// enabled is the global instrumentation switch. It defaults to on;
+// tests turn it off to compare the instrumented hot path against the
+// uninstrumented one.
 var enabled atomic.Bool
 
 func init() { enabled.Store(true) }

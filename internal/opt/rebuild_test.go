@@ -14,7 +14,7 @@ import (
 // reference the bit-identity tests compare the incremental optimizers
 // against, and the baseline of the speedup gates
 // (TestIncrementalOptimizerSpeedup, TestStructuralOptimizerSpeedup) and
-// of the *Rebuild benchmarks that `make bench-save` records.
+// of the *Rebuild benchmarks.
 
 // rebuildSizingEval is the pre-incremental behavior: every evaluation
 // reconstructs the tree and re-runs the full O(n) summation passes. It is

@@ -206,8 +206,9 @@ func (t *Tree) Detach(sec *Section) (*Tree, error) {
 
 // SplitSection splits sec in place into k equal RLC subsections (R/k, L/k,
 // C/k each), preserving total element values and the section's place in
-// the topology — the single-section form of Resegment, as a structural
-// edit rather than a whole-tree rebuild. The k subsections are returned
+// the topology — a structural edit rather than a whole-tree rebuild, the
+// same split the test-side Resegment makes of every section at once
+// (TestSplitSectionMatchesResegment). The k subsections are returned
 // top-down; the last one is sec itself (keeping its name and children, so
 // probes addressed by name keep working), the k-1 new upstream
 // subsections are named "<name>~<i>". Sections after sec shift up by k-1
