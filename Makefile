@@ -23,7 +23,8 @@ race:
 	$(GO) test -race ./...
 
 # check: the robustness gate — static analysis, race-enabled tests, the
-# benchmark module's build, and a short fuzz pass over the input parsers.
+# benchmark module's build, and a short fuzz pass over the input parsers
+# and the step-response inversion.
 check: vet race perfbench fuzz-smoke
 
 # perfbench: perfbench/ is a separate Go module that imports the engine's
@@ -45,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzFormatRoundTrip -fuzztime=$(FUZZTIME) ./internal/unit/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./internal/eedsrv/
 	$(GO) test -run=NONE -fuzz=FuzzParseFaultSpec -fuzztime=$(FUZZTIME) ./internal/faultinj/
+	$(GO) test -run=NONE -fuzz=FuzzScaledInverse -fuzztime=$(FUZZTIME) ./internal/core/
 
 # bench: quick interactive benchmark run (BENCH selects a pattern).
 bench:

@@ -390,11 +390,19 @@ func BenchmarkClosedForms(b *testing.B) {
 			_ = f(1e-10)
 		}
 	})
-	b.Run("settlingTime", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := m.SettlingTime(0.1); err != nil {
-				b.Fatal(err)
-			}
+	// ζ = 0.8 takes the eq. (42) closed form; ζ = 1 and ζ = 2 take the
+	// numeric solve of the monotone response.
+	for _, zeta := range []float64{0.8, 1, 2} {
+		m, err := core.FromZetaOmega(zeta, 1e10)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
+		b.Run(fmt.Sprintf("settlingTime/zeta=%g", zeta), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := m.SettlingTime(0.1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -136,8 +136,9 @@ func (m SecondOrder) OvershootTime(n int) float64 {
 // ±x of its final value (as a fraction of the final value; the paper uses
 // x = 0.1). For an underdamped node it is the closed form of paper
 // eq. (42): the time of the first extremum whose magnitude is below x.
-// For monotone responses (ζ ≥ 1 or RC-only) it solves 1 − v(t) = x
-// directly. x must be in (0, 1).
+// For an RC-only node it is the Wyatt closed form −ln(x)·τ; for ζ ≥ 1 it
+// solves v(t) = 1 − x numerically (scaledInverse's safeguarded Newton,
+// about four evaluations of the step response). x must be in (0, 1).
 func (m SecondOrder) SettlingTime(x float64) (float64, error) {
 	if !(x > 0 && x < 1) {
 		return 0, fmt.Errorf("core: SettlingTime requires 0 < x < 1, got %g", x)
@@ -170,29 +171,20 @@ func (m SecondOrder) SettlingTime(x float64) (float64, error) {
 // For ζ < 1 the response increases monotonically up to its first peak at
 // x = π/√(1−ζ²) (its derivative, the impulse response, is positive until
 // then), so the first crossing of any level up to the peak value lies in
-// that bracket. For ζ ≥ 1 the response is monotone on [0, ∞) and the
-// bracket is grown geometrically. Either way a bisection finishes the job
-// in ~50 evaluations, keeping whole-tree analyses linear-time in practice.
+// that bracket, and a bisection finishes the job in ~45 evaluations. For
+// ζ ≥ 1 the response is monotone on [0, ∞) and monotoneInverse solves it
+// by safeguarded Newton in a handful of evaluations.
 func scaledInverse(zeta, level float64) (float64, error) {
 	if !(level > 0) || level >= 1 && zeta >= 1 {
 		return 0, fmt.Errorf("core: level %g not reachable for ζ=%g", level, zeta)
 	}
+	if zeta >= 1 {
+		return monotoneInverse(zeta, level)
+	}
 	f := func(x float64) float64 { return ScaledStep(zeta, x) - level }
-	var lo, hi float64
-	if zeta < 1 {
-		hi = math.Pi / math.Sqrt(1-zeta*zeta)
-		if peak := ScaledStep(zeta, hi); level > peak {
-			return 0, fmt.Errorf("core: level %g above first peak %g for ζ=%g", level, peak, zeta)
-		}
-	} else {
-		hi = 1
-		for f(hi) < 0 {
-			lo = hi
-			hi *= 2
-			if hi > 1e6*zeta {
-				return 0, fmt.Errorf("core: no crossing of level %g found for ζ=%g", level, zeta)
-			}
-		}
+	lo, hi := 0.0, math.Pi/math.Sqrt(1-zeta*zeta)
+	if peak := ScaledStep(zeta, hi); level > peak {
+		return 0, fmt.Errorf("core: level %g above first peak %g for ζ=%g", level, peak, zeta)
 	}
 	for i := 0; i < 200; i++ {
 		mid := 0.5 * (lo + hi)
@@ -206,6 +198,101 @@ func scaledInverse(zeta, level float64) (float64, error) {
 		}
 	}
 	return 0.5 * (lo + hi), nil
+}
+
+// monotoneInverse is scaledInverse for ζ ≥ 1: Newton's method on
+// ScaledStep(ζ, x) − level with the slope stepSlope, guarded by a sign
+// bracket [lo, hi].
+//
+//   - Start: with s = √(ζ²−1), the slow pole alone bounds the remainder,
+//     1 − v(x) < ½(1+ζ/s)·e^{−(ζ−s)x}, so v has passed level by
+//     x₀ = (ζ+s)·ln((1+ζ/s)/(2(1−level))); ζ+s is 1/(ζ−s) without the
+//     cancellation. At ζ = 1, or wherever x₀ is not finite and positive,
+//     the start is 1.
+//   - Steps: a Newton step that leaves the bracket becomes a bisection, or
+//     doubles x while nothing at or above level has been seen.
+//   - Stop: once a step is within 1e-14·x, or ScaledStep − level is within
+//     the 2⁻⁵² that ScaledStep resolves (it is a rounding staircase near 0
+//     and 1, on whose flat steps Newton would creep), one probe just past
+//     the estimate closes the bracket: by the ζ < 1 branch's bisection
+//     width, 1e-13·max(1, hi), plus that resolution over the slope.
+//     Bisection finishes whatever width is left, and the bracket's
+//     midpoint is returned.
+//
+// So the result lies within that width of a sign change of
+// ScaledStep − level, as a bisection's would, after about four
+// evaluations at levels 0.1–0.9; only near 0 and 1, where the staircase is
+// wider than the width, does it need about as many as bisection.
+//
+// Its errors are those of bisecting a bracket doubled out from [0, 1] up
+// to 1e6·ζ (bisectInverse in the tests). That finds no crossing only where
+// ζ − s rounds to 0 or below; for any other ζ, ScaledStep passes every
+// level below 1 long before 1e6·ζ.
+func monotoneInverse(zeta, level float64) (float64, error) {
+	const resolution = 0x1p-52
+	s := math.Sqrt(zeta*zeta - 1)
+	if !(zeta-s > 0) {
+		// ζ² − 1 rounds to ζ² (ζ ≳ 6.7e7) or overflows: ScaledStep's
+		// two-exponential form, which it uses from s·x = 30 on, then never
+		// reaches level.
+		return 0, fmt.Errorf("core: no crossing of level %g found for ζ=%g", level, zeta)
+	}
+	x := (zeta + s) * math.Log((1+zeta/s)/(2*(1-level)))
+	if !(x > 0 && x < math.Inf(1)) {
+		x = 1
+	}
+	lo, hi := 0.0, math.Inf(1)
+	for i, probed := 0, false; i < 200; i++ {
+		fx := ScaledStep(zeta, x) - level
+		if fx >= 0 {
+			hi = x
+		} else {
+			lo = x
+		}
+		if hi-lo < 1e-13*math.Max(1, hi) {
+			break
+		}
+		slope := stepSlope(zeta, s, x)
+		dx := fx / slope
+		next := x - dx
+		switch {
+		case probed:
+			next, probed = 0.5*(lo+hi), false
+		case math.Abs(dx) <= 1e-14*x || math.Abs(fx) <= resolution:
+			d := 0.5e-13*math.Max(1, x) + resolution/slope
+			if fx < 0 {
+				next += d
+			} else {
+				next -= d
+			}
+			probed = true
+		}
+		if !(next > lo && next < hi) {
+			next = 0.5 * (lo + hi)
+			if math.IsInf(hi, 1) {
+				next = 2 * x
+			}
+		}
+		x = next
+	}
+	if math.IsInf(hi, 1) {
+		return 0, fmt.Errorf("core: no crossing of level %g found for ζ=%g", level, zeta)
+	}
+	return 0.5 * (lo + hi), nil
+}
+
+// stepSlope returns the slope of ScaledStep(ζ, ·) at x for ζ ≥ 1 and
+// s = √(ζ²−1): the scaled impulse response x·e^{−ζx}·sinh(s·x)/(s·x).
+// From s·x ≥ 30 it differentiates ScaledStep's two-exponential form
+// instead, with the same ζ−s, so that Newton follows the function
+// ScaledStep computes even where that difference has lost digits (large
+// ζ); the fast exponential's share there is below e^{−60} and is dropped.
+func stepSlope(zeta, s, x float64) float64 {
+	if u := s * x; u < 30 {
+		return x * math.Exp(-zeta*x) * sinhxox(u)
+	}
+	a := zeta - s
+	return 0.5 * (1 + zeta/s) * a * math.Exp(-a*x)
 }
 
 // ScaledDelay50Numeric returns the exact scaled 50% delay t'_pd = ω_n·t_pd
