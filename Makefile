@@ -52,9 +52,11 @@ fuzz-smoke:
 bench:
 	$(GO) test -run=NONE -bench=$(BENCH) -benchtime=$(BENCHTIME) -benchmem .
 
-# service-bench: the delay-service load gate. Drives an in-process eedd
-# with a mixed point-query / sweep / edit / batch stream, prints
-# per-operation latency percentiles and total throughput, and fails if
+# service-bench: the delay-service load gate. eedload's steady schedule
+# drives an in-process eedd with a mixed point-query / sweep / edit /
+# batch stream, checks every payload bit for bit against direct core
+# analysis, prints per-operation latency percentiles and throughput, and
+# fails on any bit-incorrect payload, on more than 1% failed ops, or if
 # the warm point-query p50 on the 64-segment example net exceeds 1ms.
 LOADTIME ?= 30s
 LOADCONC ?= 8
@@ -63,18 +65,18 @@ service-bench:
 		-mix delay=90,analyze=4,edit=4,batch=2 -assert-warm-p50 1ms
 
 # chaos-soak: the resilience gate. Builds a real eedd, then drives it
-# through the eedchaos fault schedule — stalls, panics, dropped
-# connections, eviction storms, queue timeouts, numeric faults, and
-# SIGTERM/restart cycles — asserting zero bit-incorrect payloads against
+# through eedload's chaos schedule — stalls, panics, dropped
+# connections, eviction storms, queue timeouts, numeric faults, and a
+# SIGTERM/restart cycle — asserting zero bit-incorrect payloads against
 # direct core analysis, a bounded error budget, and post-fault warm-p50
 # recovery. The verdict and per-phase numbers go to stdout.
 CHAOSTIME ?= 30s
 CHAOSCONC ?= 8
 chaos-soak:
 	$(GO) build -o eedd ./cmd/eedd/
-	$(GO) run ./cmd/eedchaos -eedd ./eedd -net examples/nets/line64.tree \
-		-d $(CHAOSTIME) -c $(CHAOSCONC) -seed 7 \
-		-budget 1.0 -p50-gate 5ms -recover-within 5s
+	$(GO) run ./cmd/eedload -chaos -eedd ./eedd -net examples/nets/line64.tree \
+		-d $(CHAOSTIME) -c $(CHAOSCONC) -seed 7 -mix delay=60,analyze=15,edit=25 \
+		-budget 1.0 -assert-warm-p50 5ms -recover-within 5s
 
 # chip-bench: the full-chip streaming gate. Streams a synthetic 1M-net /
 # ~50-sections-per-net design (≈50M sections of SPEF text generated on

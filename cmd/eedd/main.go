@@ -40,7 +40,6 @@ import (
 
 	"eedtree/internal/eedsrv"
 	"eedtree/internal/engine"
-	"eedtree/internal/faultinj"
 	"eedtree/internal/obs"
 )
 
@@ -58,8 +57,7 @@ func realMain() int {
 	timeout := flag.Duration("timeout", 0, "per-request wall-time bound (0 = default, negative = none)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests at shutdown")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the service mux")
-	faults := flag.String("faults", "", "TESTING ONLY: arm a fault-injection plan at startup (internal/faultinj spec)")
-	faultsAdmin := flag.Bool("faults-admin", false, "TESTING ONLY: mount POST /v1/faults to re-arm the fault plan at runtime")
+	faultsAdmin := flag.Bool("faults-admin", false, "TESTING ONLY: mount POST /v1/faults to arm a fault-injection plan at runtime")
 	logPath := flag.String("log", "", "structured JSON request log destination: a file (appended) or - for stdout")
 	debugReq := flag.Bool("debug-requests", false, "mount the live flight-recorder views /v1/debug/requests and /v1/debug/slow, arming per-request span tracing")
 	slowThresh := flag.Duration("slow-threshold", 0, "requests slower than this land in the /v1/debug/slow capture buffer (0 = default 250ms)")
@@ -95,18 +93,6 @@ func realMain() int {
 		obs.SetDefaultFlight(obs.NewFlightRecorder(obs.DefaultFlightEvents, obs.DefaultFlightCaptures, *slowThresh))
 	}
 
-	if *faults != "" {
-		plan, err := faultinj.Parse(*faults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "eedd: -faults: %v\n", err)
-			flag.Usage()
-			return 2
-		}
-		faultinj.Activate(plan)
-		// Loud on purpose: a production daemon must never run armed.
-		fmt.Fprintf(os.Stderr, "eedd: WARNING: fault injection armed: %s\n", plan.String())
-	}
-
 	srv := eedsrv.New(eedsrv.Options{
 		Engine:          engine.New(engine.Options{Workers: *workers}),
 		RegistryEntries: *registry,
@@ -131,6 +117,10 @@ func realMain() int {
 	// The listen line is the startup handshake: scripts (and the e2e
 	// tests) read the bound address from it, which matters with :0.
 	fmt.Fprintf(os.Stderr, "eedd: listening on http://%s/\n", ln.Addr())
+	if *faultsAdmin {
+		// Loud on purpose: a production daemon must never be armable.
+		fmt.Fprintln(os.Stderr, "eedd: WARNING: fault injection armable: POST /v1/faults is mounted")
+	}
 	if logger != nil {
 		logger.Info("listening", "addr", ln.Addr().String(), "debug_requests", *debugReq)
 	}

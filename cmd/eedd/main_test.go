@@ -249,18 +249,8 @@ func TestDrainRejectsDuringShutdownWindow(t *testing.T) {
 	}
 }
 
-func TestBadFaultSpecExits2(t *testing.T) {
-	out, err := eeddCommand(t, "-faults", "srv.stall:p=totally").CombinedOutput()
-	if code := exitCode(t, err); code != 2 {
-		t.Fatalf("exit %d, want 2\n%s", code, out)
-	}
-	if !strings.Contains(string(out), "usage: eedd") {
-		t.Fatalf("no usage text:\n%s", out)
-	}
-}
-
 func TestFaultsAdminEndpointMounted(t *testing.T) {
-	cmd, base, _ := startDaemon(t, "-faults-admin")
+	cmd, base, rest := startDaemon(t, "-faults-admin")
 	resp, err := http.Post(base+"/v1/faults", "application/json",
 		strings.NewReader(`{"spec":"seed=2;srv.stall:p=0.5,d=1ms"}`))
 	if err != nil {
@@ -279,13 +269,26 @@ func TestFaultsAdminEndpointMounted(t *testing.T) {
 	if err := cmd.Wait(); exitCode(t, err) != 0 {
 		t.Fatalf("exit %d, want 0", exitCode(t, err))
 	}
+	if !strings.Contains(rest.String(), "WARNING: fault injection armable") {
+		t.Fatalf("no fault-injection warning on stderr:\n%s", rest.String())
+	}
 }
 
 // TestSigtermDuringActiveLoad pins the drain contract under fire: a
-// request stalled inside its worker slot (via -faults) must complete
-// with a 200 while the daemon drains, and the daemon must still exit 0.
+// request stalled inside its worker slot (armed through /v1/faults) must
+// complete with a 200 while the daemon drains, and the daemon must still
+// exit 0.
 func TestSigtermDuringActiveLoad(t *testing.T) {
-	cmd, base, rest := startDaemon(t, "-faults", "srv.stall:p=1,n=1,d=400ms")
+	cmd, base, rest := startDaemon(t, "-faults-admin")
+	resp, err := http.Post(base+"/v1/faults", "application/json",
+		strings.NewReader(`{"spec":"srv.stall:p=1,n=1,d=400ms"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("arming the stall: status %d", resp.StatusCode)
+	}
 
 	type result struct {
 		code int

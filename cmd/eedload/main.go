@@ -1,51 +1,76 @@
-// Command eedload is the load harness for the eedd delay service: it
+// Command eedload is the load generator for the eedd delay service. It
 // drives a mixed request stream (point queries, whole-tree sweeps,
-// incremental edits, batches) at a server for a fixed duration and
-// prints per-operation latency percentiles, total throughput and a
-// per-guard-class error breakdown. -assert-warm-p50 turns the warm
-// point-query p50 into an exit status.
+// edits, batches; -mix) at a server while walking a phase schedule,
+// checks every successful payload bit for bit against direct core
+// analysis, and prints one report: per-phase ops and errors, per-op
+// latency percentiles, failures by class, client retries, bit-incorrect
+// payloads and the verdict.
 //
-// With -addr it targets a running daemon; without it the harness starts
-// an in-process server on a loopback listener, so the numbers still
-// include the full HTTP/JSON wire cost but need no separate process.
+// The steady schedule (the default) is one clean phase; each request is
+// a single attempt with the client's breaker off, so the latencies
+// describe the server. The chaos schedule (-chaos) walks the server
+// through the injected fault families and a restart, then probes
+// recovery; the client retries under capped backoff behind a breaker.
+// -assert-warm-p50 bounds the run's point-query p50 (steady) or the
+// recovery probe's (chaos).
 //
-// Requests go through internal/eedclient, the service's resilient typed
-// client. By default retries and the circuit breaker are OFF (-retries 0)
-// so the measured latencies are single-attempt wire truth; -retries N
-// enables the client's backoff loop (and breaker), which is the right
-// mode when driving a deliberately faulty server.
+// A failed op is healed once: a 404 (the registry lost the net to an
+// eviction or a restart) registers the net again, a 5xx or transport
+// error waits for the server's health, and the op is retried; a failed
+// edit is not re-sent, its heal re-registers the replica instead. The
+// run exits 1 on any bit-incorrect payload, on more than -budget percent
+// of ops failing after the heal, or on the p50 bound; 2 on a usage error.
 //
-// The stream runs over one registered net (-net, the rlctree text
-// format). Point queries and sweeps share the warm resident; each
-// edit-mix worker owns a private variant of the net — edits change the
-// content fingerprint, so a shared net would be re-keyed out from under
-// the readers (see internal/eedsrv).
+// Without -addr or -eedd the server runs in process on a loopback
+// listener, and a chaos restart bounces the listener. -eedd spawns that
+// daemon binary and restarts it with SIGTERM. -addr drives a running
+// daemon, which eedload cannot restart, so -chaos rejects it.
+//
+// Point queries, sweeps and batches share one warm resident of -net.
+// Each worker edits a private variant with one extra stub section under
+// the root (an edit re-keys its net, so a shared net would move out from
+// under the readers), and a local replica of the variant is the edit
+// oracle.
 //
 // Usage:
 //
-//	eedload -net examples/nets/line64.tree [-d 30s] [-c 8] \
-//	        [-mix delay=90,analyze=5,edit=5] [-retries 0] [-assert-warm-p50 1ms]
+//	eedload -net examples/nets/line64.tree [-d 10s] [-c 8] \
+//	        [-mix delay=90,analyze=5,edit=5] [-assert-warm-p50 1ms]
+//	eedload -chaos -eedd ./eedd -net examples/nets/line64.tree [-seed 7] \
+//	        [-mix delay=60,analyze=15,edit=25] [-budget 1] \
+//	        [-assert-warm-p50 5ms] [-recover-within 5s]
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"time"
 
+	"eedtree/internal/core"
 	"eedtree/internal/eedclient"
 	"eedtree/internal/eedsrv"
 	"eedtree/internal/engine"
+	"eedtree/internal/faultinj"
 	"eedtree/internal/guard"
 	"eedtree/internal/obs"
 	"eedtree/internal/rlctree"
@@ -57,74 +82,96 @@ func main() {
 
 var opNames = []string{"delay", "analyze", "edit", "batch"}
 
-type opStats struct {
-	CountN        int
-	ErrorsByClass map[string]int
-	P50us         float64
-	P90us         float64
-	P99us         float64
-	Maxus         float64
-	Throughpt     float64
+// phase is one segment of a schedule. Spec is the faultinj plan armed
+// for the phase; an empty spec clears it. The restart phase restarts the
+// server instead.
+type phase struct {
+	Name    string
+	Frac    float64
+	Spec    string
+	Restart bool
 }
 
-type benchReport struct {
-	Net           string
-	Sections      int
-	Addr          string
-	InProcess     bool
-	DurationS     float64
-	Concurrency   int
-	Mix           map[string]int
-	MaxRetries    int
-	TotalRequests int
-	TotalErrors   int
-	TotalRetries  uint64
-	Throughput    float64
-	Ops           map[string]opStats
+// steadySchedule is one clean phase over the whole run.
+var steadySchedule = []phase{{Name: "steady", Frac: 1}}
+
+// chaosSchedule ramps from a clean baseline through every fault family,
+// restarts the server, then measures recovery. guard.panic and
+// batch.cancel are deliberately absent: in process the fault plan is
+// global to eedload, and those two points could fire inside its own
+// verification.
+func chaosSchedule(seed int64) []phase {
+	s := func(tmpl string) string { return fmt.Sprintf("seed=%d;", seed) + tmpl }
+	return []phase{
+		{Name: "clean", Frac: 0.10},
+		{Name: "stall", Frac: 0.15, Spec: s("srv.stall:p=0.3,d=20ms")},
+		{Name: "panic_drop", Frac: 0.15, Spec: s("srv.panic:p=0.03;srv.conn_drop:p=0.03")},
+		{Name: "evict_storm", Frac: 0.10, Spec: s("reg.evict:p=0.05")},
+		{Name: "queue_numeric", Frac: 0.15, Spec: s("srv.queue_timeout:p=0.05;sess.numeric:p=0.002,n=20")},
+		{Name: "restart", Frac: 0.10, Restart: true},
+		{Name: "recovery", Frac: 0.25},
+	}
+}
+
+type config struct {
+	netFile       string
+	addr          string // a running daemon; "" = start one
+	eeddPath      string // a daemon binary to spawn; "" = in-process server
+	chaos         bool
+	dur           time.Duration
+	conc          int
+	mix           map[string]int
+	seed          int64
+	budgetPct     float64
+	warmP50       time.Duration // 0 = no bound
+	recoverWithin time.Duration
 }
 
 func realMain() int {
-	netFile := flag.String("net", "", "tree file driven at the server (rlctree text format; required)")
-	addr := flag.String("addr", "", "base URL of a running eedd (empty = start an in-process server)")
-	dur := flag.Duration("d", 10*time.Second, "measured load duration")
-	conc := flag.Int("c", 8, "concurrent client workers")
+	var cfg config
+	flag.StringVar(&cfg.netFile, "net", "", "tree file driven at the server (rlctree text format; required)")
+	flag.StringVar(&cfg.addr, "addr", "", "base URL of a running eedd (empty = start a server)")
+	flag.StringVar(&cfg.eeddPath, "eedd", "", "eedd binary to spawn, and restart with SIGTERM under -chaos (empty = in-process server)")
+	flag.BoolVar(&cfg.chaos, "chaos", false, "run the chaos schedule: fault phases, a restart and a recovery probe")
+	flag.DurationVar(&cfg.dur, "d", 10*time.Second, "run duration")
+	flag.IntVar(&cfg.conc, "c", 8, "concurrent client workers")
 	mixFlag := flag.String("mix", "delay=90,analyze=5,edit=5", "operation weights: delay,analyze,edit,batch")
-	retries := flag.Int("retries", 0, "client retry budget per request (0 = single attempt, breaker off: pure measurement)")
-	assertWarmP50 := flag.Duration("assert-warm-p50", 0, "fail (exit 1) if the warm point-query p50 exceeds this (0 = no assertion)")
+	flag.Int64Var(&cfg.seed, "seed", 1, "seed for the fault plans and the workers' draws")
+	flag.Float64Var(&cfg.budgetPct, "budget", 1, "max percent of ops that may fail after healing")
+	flag.DurationVar(&cfg.warmP50, "assert-warm-p50", 0, "bound on the warm point-query p50: the run's (steady) or the recovery probe's (chaos); 0 = none")
+	flag.DurationVar(&cfg.recoverWithin, "recover-within", 5*time.Second, "how long a heal waits for health, and how soon the chaos recovery probe must clear the p50 bound")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: eedload -net <tree-file> [flags]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if flag.NArg() != 0 || *netFile == "" || *dur <= 0 || *conc <= 0 || *retries < 0 {
+	if flag.NArg() != 0 || cfg.netFile == "" || cfg.dur <= 0 || cfg.conc <= 0 || cfg.budgetPct < 0 ||
+		cfg.warmP50 < 0 || cfg.recoverWithin <= 0 || (cfg.addr != "" && cfg.eeddPath != "") {
 		flag.Usage()
 		return 2
 	}
-	mix, err := parseMix(*mixFlag)
-	if err != nil {
+	if cfg.chaos && cfg.addr != "" {
+		fmt.Fprintf(os.Stderr, "eedload: -chaos needs a server it can restart: use -eedd or the in-process server, not -addr\n")
+		return 2
+	}
+	var err error
+	if cfg.mix, err = parseMix(*mixFlag); err != nil {
 		fmt.Fprintf(os.Stderr, "eedload: -mix: %v\n", err)
 		flag.Usage()
 		return 2
 	}
 
-	report, err := run(*netFile, *addr, *dur, *conc, mix, *retries)
+	r, err := run(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "eedload: [%s] %v\n", guard.ClassName(err), err)
 		return 1
 	}
-
-	fmt.Print(renderText(report))
-	if *assertWarmP50 > 0 {
-		p50 := time.Duration(report.Ops["delay"].P50us * float64(time.Microsecond))
-		if report.Ops["delay"].CountN == 0 {
-			fmt.Fprintf(os.Stderr, "eedload: -assert-warm-p50: no delay ops in the mix\n")
-			return 1
-		}
-		if p50 > *assertWarmP50 {
-			fmt.Fprintf(os.Stderr, "eedload: warm point-query p50 %v exceeds the %v bound\n", p50, *assertWarmP50)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "eedload: warm point-query p50 %v within the %v bound\n", p50, *assertWarmP50)
+	fmt.Print(r.render())
+	for _, g := range r.Gates {
+		fmt.Fprintf(os.Stderr, "eedload: GATE FAILED: %s\n", g)
+	}
+	if len(r.Gates) > 0 {
+		return 1
 	}
 	return 0
 }
@@ -158,284 +205,780 @@ func parseMix(s string) (map[string]int, error) {
 	return mix, nil
 }
 
-// worker is one load generator: a resilient client plus its private
-// measurement sink. Sinks are merged after the run, never shared.
-type worker struct {
-	cl      *eedclient.Client
-	lat     map[string][]time.Duration
-	errs    map[string]int
-	byClass map[string]map[string]int
+// server is where the load goes and how to kill and resurrect it. Its
+// faults are armed through its /v1/faults endpoint.
+type server interface {
+	Base() string
+	Restart() error
+	Close()
 }
 
-func newWorker(base string, seed int64, retries int) (*worker, error) {
-	opts := eedclient.Options{BaseURL: base, Seed: seed, MaxRetries: retries}
-	if retries == 0 {
-		// Pure-measurement mode: one attempt per request, no breaker —
-		// the numbers describe the server, not the client's resilience.
-		opts.MaxRetries = -1
-		opts.BreakerThreshold = -1
+// remote is a daemon eedload did not start: it takes load only.
+type remote string
+
+func (r remote) Base() string { return string(r) }
+func (remote) Restart() error { return errors.New("a remote daemon cannot be restarted") }
+func (remote) Close()         {}
+
+type inprocCtl struct {
+	addr    string
+	httpSrv *http.Server
+	srv     *eedsrv.Server
+}
+
+func newInprocCtl() (*inprocCtl, error) {
+	c := &inprocCtl{addr: "127.0.0.1:0"}
+	return c, c.start()
+}
+
+func (c *inprocCtl) start() error {
+	var ln net.Listener
+	var err error
+	// After a restart the old listener may linger for a beat; retry the
+	// bind briefly so the base URL survives the bounce.
+	for i := 0; i < 50; i++ {
+		if ln, err = net.Listen("tcp", c.addr); err == nil {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err != nil {
+		return err
+	}
+	c.addr = ln.Addr().String()
+	c.srv = eedsrv.New(eedsrv.Options{Engine: engine.New(engine.Options{}), EnableFaults: true})
+	// Injected srv.panic faults are recovered by net/http per connection;
+	// discard its stack-trace logging: the run counts them as transport
+	// errors, and the traces are noise.
+	c.httpSrv = &http.Server{
+		Handler:  c.srv.Handler(),
+		ErrorLog: log.New(io.Discard, "", 0),
+	}
+	go c.httpSrv.Serve(ln)
+	return nil
+}
+
+func (c *inprocCtl) Base() string { return "http://" + c.addr }
+
+// Restart bounces the listener the way a real restart would: drain,
+// shut down, then a fresh server (empty registry, cold sessions) on the
+// same address. The fault plan does not survive, and neither would a
+// real process's.
+func (c *inprocCtl) Restart() error {
+	faultinj.Deactivate()
+	c.srv.Drain()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := c.httpSrv.Shutdown(ctx); err != nil {
+		return err
+	}
+	return c.start()
+}
+
+func (c *inprocCtl) Close() {
+	faultinj.Deactivate()
+	c.httpSrv.Close()
+}
+
+type procCtl struct {
+	path string
+	addr string
+	cmd  *exec.Cmd
+}
+
+var listenRe = regexp.MustCompile(`listening on (http://([^/\s]+))/`)
+
+func newProcCtl(path string) (*procCtl, error) {
+	c := &procCtl{path: path, addr: "127.0.0.1:0"}
+	return c, c.start()
+}
+
+func (c *procCtl) start() error {
+	var lastErr error
+	// The OS frees the port when the previous instance exits; a short
+	// retry loop rides out the window where it is still bound.
+	for i := 0; i < 25; i++ {
+		cmd := exec.Command(c.path, "-addr", c.addr, "-faults-admin")
+		stderr, err := cmd.StderrPipe()
+		if err != nil {
+			return err
+		}
+		if err := cmd.Start(); err != nil {
+			return err
+		}
+		sc := bufio.NewScanner(stderr)
+		base := ""
+		for sc.Scan() {
+			if m := listenRe.FindStringSubmatch(sc.Text()); m != nil {
+				base = m[2]
+				break
+			}
+		}
+		if base != "" {
+			go func() { // keep the pipe drained for the daemon's lifetime
+				for sc.Scan() {
+				}
+			}()
+			c.addr, c.cmd = base, cmd
+			return nil
+		}
+		// Listen failed (stderr closed without the handshake line).
+		lastErr = cmd.Wait()
+		time.Sleep(100 * time.Millisecond)
+	}
+	return fmt.Errorf("daemon never bound %s: %v", c.addr, lastErr)
+}
+
+func (c *procCtl) Base() string { return "http://" + c.addr }
+
+// Restart SIGTERMs the daemon, requires a clean drain (exit 0), and
+// respawns it on the same address.
+func (c *procCtl) Restart() error {
+	if err := c.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		return err
+	}
+	if err := c.cmd.Wait(); err != nil {
+		return fmt.Errorf("daemon did not drain cleanly on SIGTERM: %v", err)
+	}
+	return c.start()
+}
+
+func (c *procCtl) Close() {
+	if c.cmd != nil && c.cmd.ProcessState == nil {
+		c.cmd.Process.Signal(syscall.SIGTERM)
+		done := make(chan struct{})
+		go func() { c.cmd.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			c.cmd.Process.Kill()
+			c.cmd.Wait()
+		}
+	}
+}
+
+// sameResult compares two wire results bit for bit: float fields via
+// Float64bits, optional fields via nil-ness then bits.
+func sameResult(a, b eedsrv.NodeResult) bool {
+	f := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	p := func(x, y *float64) bool {
+		if (x == nil) != (y == nil) {
+			return false
+		}
+		return x == nil || f(*x, *y)
+	}
+	return a.Node == b.Node &&
+		f(a.Delay50, b.Delay50) && f(a.Rise, b.Rise) && f(a.Overshoot, b.Overshoot) &&
+		f(a.Elmore50, b.Elmore50) && f(a.ElmoreRise, b.ElmoreRise) &&
+		p(a.Zeta, b.Zeta) && p(a.OmegaN, b.OmegaN) && p(a.Settle, b.Settle) &&
+		a.Degraded == b.Degraded && a.DegradedClass == b.DegradedClass
+}
+
+// oracleFor computes the ground-truth wire results for a tree with the
+// core analyzer directly: no engine sessions, no fault points, no HTTP.
+func oracleFor(tree *rlctree.Tree) (map[string]eedsrv.NodeResult, []eedsrv.NodeResult, error) {
+	analyses, err := core.AnalyzeTree(tree)
+	if err != nil {
+		return nil, nil, err
+	}
+	byName := make(map[string]eedsrv.NodeResult, len(analyses))
+	ordered := make([]eedsrv.NodeResult, 0, len(analyses))
+	for _, na := range analyses {
+		nr := eedsrv.NodeResultOf(na)
+		byName[nr.Node] = nr
+		ordered = append(ordered, nr)
+	}
+	return byName, ordered, nil
+}
+
+func fpHex(t *rlctree.Tree) string {
+	fp := t.Fingerprint()
+	return hex.EncodeToString(fp[:])
+}
+
+// failureClass names an unrecovered failure for the report: the class
+// the server sent, else its HTTP status, else "transport". A breaker
+// refusal carries the class and status of the failure that opened the
+// breaker, so it is recognized by its sentinel first.
+func failureClass(err error) string {
+	var ce *eedclient.Error
+	if !errors.As(err, &ce) {
+		return "transport"
+	}
+	switch {
+	case errors.Is(ce.Err, eedclient.ErrBreakerOpen):
+		return "breaker_open"
+	case ce.Class != "":
+		return ce.Class
+	case ce.Status != 0:
+		return "http_" + strconv.Itoa(ce.Status)
+	}
+	return "transport"
+}
+
+// load is the state every worker reads: the shared net, its oracle, and
+// the schedule's position.
+type load struct {
+	cfg     config
+	ctx     context.Context
+	base    string
+	shared  string // the shared net's fingerprint; its content never changes
+	text    string
+	names   []string
+	byName  map[string]eedsrv.NodeResult
+	ordered []eedsrv.NodeResult
+
+	phase atomic.Int32
+	stop  atomic.Bool
+}
+
+// worker is one load generator: a client, its shuffled deck, the private
+// variant it edits, and a measurement sink merged after the run, never
+// shared.
+type worker struct {
+	*load
+	cl   *eedclient.Client
+	rng  *rand.Rand
+	deck []string
+
+	replica *rlctree.Tree // the edited variant as the server must hold it
+	stub    string        // the variant's extra section, the one edited
+	cur     string        // the variant's fingerprint on the server
+
+	lat       map[string][]time.Duration // first-attempt successes
+	failed    map[string]int             // "op:class" → unrecovered failures
+	phaseOps  []int
+	phaseFail []int
+	recovered int
+	mismatches
+}
+
+func (l *load) newWorker(w int, phases int) (*worker, error) {
+	opts := eedclient.Options{BaseURL: l.base, Seed: l.cfg.seed*100 + int64(w)}
+	if l.cfg.chaos {
+		opts.RequestTimeout, opts.MaxRetries = 5*time.Second, 4
+		opts.BackoffCap, opts.BreakerCooldown = 500*time.Millisecond, 300*time.Millisecond
+	} else {
+		// One attempt and no breaker: the latencies describe the server.
+		opts.MaxRetries, opts.BreakerThreshold = -1, -1
 	}
 	cl, err := eedclient.New(opts)
 	if err != nil {
 		return nil, err
 	}
-	return &worker{cl: cl,
-		lat:     map[string][]time.Duration{},
-		errs:    map[string]int{},
-		byClass: map[string]map[string]int{},
-	}, nil
-}
-
-// record books one finished operation: latency on success, a
-// guard-class-keyed error tally on failure.
-func (w *worker) record(kind string, t0 time.Time, err error) bool {
-	if err == nil {
-		w.lat[kind] = append(w.lat[kind], time.Since(t0))
-		return true
-	}
-	w.errs[kind]++
-	class := "transport"
-	var ce *eedclient.Error
-	if errors.As(err, &ce) {
-		switch {
-		case errors.Is(ce.Err, eedclient.ErrBreakerOpen):
-			class = "breaker_open"
-		case ce.Class != "":
-			class = ce.Class
-		case ce.Status != 0:
-			class = "http_" + strconv.Itoa(ce.Status)
+	wk := &worker{load: l, cl: cl, rng: rand.New(rand.NewSource(l.cfg.seed*1000 + int64(w))),
+		stub: fmt.Sprintf("zz%d", w), lat: map[string][]time.Duration{}, failed: map[string]int{},
+		phaseOps: make([]int, phases), phaseFail: make([]int, phases)}
+	// A weight-proportional deck each worker shuffles with its own seed:
+	// the op order differs per worker, the realized mix is exact.
+	for _, name := range opNames {
+		for i := 0; i < l.cfg.mix[name]; i++ {
+			wk.deck = append(wk.deck, name)
 		}
 	}
-	m := w.byClass[kind]
-	if m == nil {
-		m = map[string]int{}
-		w.byClass[kind] = m
+	wk.rng.Shuffle(len(wk.deck), func(i, j int) { wk.deck[i], wk.deck[j] = wk.deck[j], wk.deck[i] })
+	if l.cfg.mix["edit"] > 0 {
+		if wk.replica, err = rlctree.Parse(strings.NewReader(l.text)); err != nil {
+			return nil, err
+		}
+		if _, err = wk.replica.AddSection(wk.stub, wk.replica.Roots()[0], float64(w+1), 1e-9, 10e-15); err != nil {
+			return nil, err
+		}
+		if err := wk.resync(); err != nil {
+			return nil, fmt.Errorf("register worker %d's variant: %w", w, err)
+		}
 	}
-	m[class]++
+	return wk, nil
+}
+
+func (w *worker) run() {
+	for i := 0; !w.stop.Load(); i++ {
+		w.do(w.deck[i%len(w.deck)])
+	}
+}
+
+// do runs one op. The latency is taken before the payload is checked, so
+// verification is not measured; a failure gets one heal.
+func (w *worker) do(kind string) {
+	ph := w.phase.Load()
+	w.phaseOps[ph]++
+	call, check := w.op(kind)
+	t0 := time.Now()
+	err := call()
+	if err == nil {
+		w.lat[kind] = append(w.lat[kind], time.Since(t0))
+		w.note(check())
+		return
+	}
+	register := func() error {
+		_, err := w.cl.Register(w.ctx, w.text)
+		return err
+	}
+	retry := func() error {
+		if err := call(); err != nil {
+			return err
+		}
+		w.note(check())
+		return nil
+	}
+	if kind == "edit" {
+		// A failed edit may or may not have applied, so it is not sent
+		// again: its heal registers the replica's content instead, which
+		// puts the server back on known content either way.
+		register, retry = func() error { return nil }, w.resync
+	}
+	if w.heal(err, register, retry) {
+		w.recovered++
+		return
+	}
+	w.phaseFail[ph]++
+	w.failed[kind+":"+failureClass(err)]++
+}
+
+// op builds one draw of kind: call sends the request, and check, run
+// only after call succeeded, compares the payload with the oracle and
+// returns a description of the first difference, or "".
+func (w *worker) op(kind string) (call func() error, check func() string) {
+	switch kind {
+	case "delay":
+		node := w.names[w.rng.Intn(len(w.names))]
+		var resp eedclient.DelayResponse
+		call = func() (err error) {
+			resp, err = w.cl.Delay(w.ctx, eedclient.DelayRequest{Net: w.shared, Node: node})
+			return err
+		}
+		check = func() string { return w.checkDelay(node, resp.Result) }
+	case "analyze":
+		var resp eedclient.AnalyzeResponse
+		call = func() (err error) {
+			resp, err = w.cl.Analyze(w.ctx, eedclient.AnalyzeRequest{Net: w.shared})
+			return err
+		}
+		check = func() string {
+			if len(resp.Nodes) != len(w.ordered) {
+				return fmt.Sprintf("analyze: %d nodes, want %d", len(resp.Nodes), len(w.ordered))
+			}
+			for i, want := range w.ordered {
+				if !sameResult(resp.Nodes[i], want) {
+					return fmt.Sprintf("analyze node %s: got %+v want %+v", want.Node, resp.Nodes[i], want)
+				}
+			}
+			return ""
+		}
+	case "batch":
+		items := make([]eedclient.BatchItem, 8)
+		for j := range items {
+			items[j] = eedclient.BatchItem{Net: w.shared, Node: w.names[w.rng.Intn(len(w.names))]}
+		}
+		var resp eedclient.BatchResponse
+		call = func() (err error) {
+			if resp, err = w.cl.Batch(w.ctx, eedclient.BatchRequest{Items: items}); err != nil {
+				return err
+			}
+			// A failed item fails the op, so it is healed and classed
+			// like a failed request.
+			for _, it := range resp.Results {
+				if it.Error != nil {
+					return &eedclient.Error{Op: "batch", Status: it.Error.Status, Class: it.Error.Class, Message: it.Error.Message}
+				}
+			}
+			return nil
+		}
+		check = func() string {
+			if len(resp.Results) != len(items) {
+				return fmt.Sprintf("batch: %d results, want %d", len(resp.Results), len(items))
+			}
+			for j, it := range resp.Results {
+				if want := w.byName[items[j].Node]; it.Result == nil || !sameResult(*it.Result, want) {
+					return fmt.Sprintf("batch item %d (%s): got %+v want %+v", j, items[j].Node, it.Result, want)
+				}
+			}
+			return ""
+		}
+	case "edit":
+		sec := w.replica.Section(w.stub)
+		val := sec.C() + 1e-18
+		var resp eedclient.EditResponse
+		call = func() (err error) {
+			resp, err = w.cl.Edit(w.ctx, eedclient.EditRequest{
+				Net:   w.cur,
+				Edits: []eedclient.EditSpec{{Node: w.stub, Elem: "C", Value: val}},
+				Node:  w.stub,
+			})
+			return err
+		}
+		// Only a confirmed edit advances the replica.
+		check = func() string {
+			if err := sec.SetC(val); err != nil {
+				return fmt.Sprintf("edit replica: %v", err)
+			}
+			w.cur = resp.Net
+			if want := fpHex(w.replica); resp.Net != want {
+				return fmt.Sprintf("edit fingerprint: got %s want %s", resp.Net, want)
+			}
+			byName, _, err := oracleFor(w.replica)
+			if err != nil {
+				return fmt.Sprintf("edit oracle: %v", err)
+			}
+			if want := byName[w.stub]; !sameResult(resp.Result, want) {
+				return fmt.Sprintf("edit result %s: got %+v want %+v", w.stub, resp.Result, want)
+			}
+			return ""
+		}
+	}
+	return call, check
+}
+
+// resync registers the replica's content. Format→Parse is bit-exact
+// (unit.Format checks every rendering against math.Float64bits), so the
+// server must then hold exactly the replica, under its fingerprint.
+func (w *worker) resync() error {
+	info, err := w.cl.Register(w.ctx, w.replica.Format())
+	if err != nil {
+		return err
+	}
+	if want := fpHex(w.replica); info.Net != want {
+		w.note(fmt.Sprintf("register fingerprint: got %s want %s", info.Net, want))
+	}
+	w.cur = info.Net
+	return nil
+}
+
+// heal retries a failed op once. A 404 means the registry lost the op's
+// net (an eviction or a restart), so the net is registered again first;
+// a 5xx or transport error waits for the server's health first. Any
+// other failure is final.
+func (w *worker) heal(err error, register, retry func() error) bool {
+	var ce *eedclient.Error
+	if !errors.As(err, &ce) {
+		return false
+	}
+	switch {
+	case ce.Status == http.StatusNotFound:
+		return register() == nil && retry() == nil
+	case ce.Status == 0 || ce.Status >= 500:
+		return w.healthy() && retry() == nil
+	}
 	return false
 }
 
-func run(netFile, addr string, dur time.Duration, conc int, mix map[string]int, retries int) (*benchReport, error) {
-	treeText, err := os.ReadFile(netFile)
-	if err != nil {
-		return nil, err
+// healthy waits up to -recover-within for the server to report ok.
+func (w *worker) healthy() bool {
+	deadline := time.Now().Add(w.cfg.recoverWithin)
+	for time.Now().Before(deadline) && !w.stop.Load() {
+		if h, err := w.cl.Health(w.ctx); err == nil && h.Status == "ok" {
+			return true
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
-	tree, err := rlctree.Parse(bytes.NewReader(treeText))
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, tree.Len())
-	for _, sec := range tree.Sections() {
-		names = append(names, sec.Name())
-	}
-	roots := tree.Roots()
-	if len(roots) == 0 {
-		return nil, fmt.Errorf("net %q has no root section", netFile)
-	}
-	rootName := roots[0].Name()
+	return false
+}
 
-	base := addr
-	inProc := addr == ""
-	if inProc {
-		srv := eedsrv.New(eedsrv.Options{Engine: engine.New(engine.Options{})})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
+// mismatches counts bit-incorrect payloads and keeps the first.
+type mismatches struct {
+	Mismatches     int
+	MismatchSample string
+}
+
+func (m *mismatches) note(desc string) {
+	if desc != "" {
+		m.Mismatches++
+		if m.MismatchSample == "" {
+			m.MismatchSample = desc
+		}
+	}
+}
+
+// checkDelay compares a served point query with the oracle.
+func (l *load) checkDelay(node string, got eedsrv.NodeResult) string {
+	if want := l.byName[node]; !sameResult(got, want) {
+		return fmt.Sprintf("delay %s: got %+v want %+v", node, got, want)
+	}
+	return ""
+}
+
+// phaseStats is one phase's share of the run.
+type phaseStats struct {
+	Name    string
+	Ops     int
+	Errors  int // unrecovered failures
+	Elapsed time.Duration
+}
+
+// opStats is one op kind's first-attempt successes and their latency
+// percentiles.
+type opStats struct {
+	OK            int
+	P50, P90, P99 time.Duration
+}
+
+type report struct {
+	cfg      config
+	Mode     string
+	Base     string
+	Sections int
+	Phases   []phaseStats
+	Ops      map[string]opStats
+
+	Total, Recovered, Failed int
+	FailedByClass            map[string]int // "op:class" → unrecovered failures
+	SuccessPct               float64
+	Retries, BreakerTrips    uint64
+	mismatches
+
+	// WarmP50 is the run's point-query p50 (steady) or the recovery
+	// probe's last (chaos); RecoveredIn is how long into the recovery
+	// phase the probe cleared the bound, -1 if it never did.
+	WarmP50     time.Duration
+	RecoveredIn time.Duration
+	Gates       []string // the gates that failed; none = PASS
+}
+
+func run(cfg config) (*report, error) {
+	text, err := os.ReadFile(cfg.netFile)
+	if err != nil {
+		return nil, err
+	}
+	tree, err := rlctree.Parse(bytes.NewReader(text))
+	if err != nil {
+		return nil, err
+	}
+	if len(tree.Roots()) == 0 {
+		return nil, fmt.Errorf("net %q has no root section", cfg.netFile)
+	}
+	byName, ordered, err := oracleFor(tree)
+	if err != nil {
+		return nil, err
+	}
+
+	var srv server
+	mode := "in-process"
+	switch {
+	case cfg.addr != "":
+		srv, mode = remote(cfg.addr), "remote"
+	case cfg.eeddPath != "":
+		mode = "daemon"
+		if srv, err = newProcCtl(cfg.eeddPath); err != nil {
 			return nil, err
 		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go httpSrv.Serve(ln)
-		defer httpSrv.Close()
-		base = "http://" + ln.Addr().String()
+	default:
+		if srv, err = newInprocCtl(); err != nil {
+			return nil, err
+		}
 	}
-	base = strings.TrimSuffix(base, "/")
+	defer srv.Close()
 
-	// Register the shared net and warm it before the clock starts.
 	ctx := context.Background()
-	admin, err := eedclient.New(eedclient.Options{BaseURL: base, Seed: 1})
+	r := &report{cfg: cfg, Mode: mode, Base: srv.Base(), Sections: tree.Len(),
+		Ops: map[string]opStats{}, FailedByClass: map[string]int{}, RecoveredIn: -1}
+	admin, err := eedclient.New(eedclient.Options{BaseURL: r.Base, Seed: cfg.seed})
 	if err != nil {
 		return nil, err
 	}
-	info, err := admin.Register(ctx, string(treeText))
+	info, err := admin.Register(ctx, string(text))
 	if err != nil {
-		return nil, fmt.Errorf("register %s: %w", netFile, err)
+		return nil, fmt.Errorf("register %s: %w", cfg.netFile, err)
 	}
-	sink := names[len(names)-1]
+	l := &load{cfg: cfg, ctx: ctx, base: r.Base, shared: info.Net, text: string(text), byName: byName, ordered: ordered}
+	for _, sec := range tree.Sections() {
+		l.names = append(l.names, sec.Name())
+	}
+	// Warm the shared session before the clock starts.
+	sink := l.names[len(l.names)-1]
 	for i := 0; i < 50; i++ {
-		if _, err := admin.Delay(ctx, eedclient.DelayRequest{Net: info.Net, Node: sink}); err != nil {
+		resp, err := admin.Delay(ctx, eedclient.DelayRequest{Net: info.Net, Node: sink})
+		if err != nil {
 			return nil, fmt.Errorf("warmup query failed: %w", err)
 		}
+		r.note(l.checkDelay(sink, resp.Result))
 	}
 
-	// The schedule: a weight-proportional deck each worker shuffles with
-	// its own seed, so the op order differs per worker but the realized
-	// mix is exact.
-	var deck []string
-	for _, name := range opNames {
-		for i := 0; i < mix[name]; i++ {
-			deck = append(deck, name)
-		}
+	phases := steadySchedule
+	if cfg.chaos {
+		phases = chaosSchedule(cfg.seed)
 	}
-
-	workers := make([]*worker, conc)
-	var wg sync.WaitGroup
-	stop := time.Now().Add(dur)
-	for w := 0; w < conc; w++ {
-		wk, err := newWorker(base, int64(w)+1, retries)
-		if err != nil {
+	workers := make([]*worker, cfg.conc)
+	for w := range workers {
+		if workers[w], err = l.newWorker(w, len(phases)); err != nil {
 			return nil, err
 		}
-		workers[w] = wk
-		wg.Add(1)
-		go func(w int, wk *worker) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w) + 1))
-			myDeck := append([]string(nil), deck...)
-			rng.Shuffle(len(myDeck), func(i, j int) { myDeck[i], myDeck[j] = myDeck[j], myDeck[i] })
-
-			// The editor's private variant: the shared tree plus one extra
-			// worker-unique stub section hanging off the root, registered
-			// through the API like any client tree would be.
-			editNet := ""
-			editNode := fmt.Sprintf("zz%d", w)
-			if mix["edit"] > 0 {
-				private := string(treeText) + fmt.Sprintf("%s %s %d 1n 10f\n", editNode, rootName, w+1)
-				t0 := time.Now()
-				pinfo, err := wk.cl.Register(ctx, private)
-				if wk.record("edit_setup", t0, err) {
-					editNet = pinfo.Net
-				}
-			}
-			editVal := 10e-15
-			for i := 0; time.Now().Before(stop); i++ {
-				switch myDeck[i%len(myDeck)] {
-				case "delay":
-					t0 := time.Now()
-					_, err := wk.cl.Delay(ctx, eedclient.DelayRequest{Net: info.Net, Node: names[rng.Intn(len(names))]})
-					wk.record("delay", t0, err)
-				case "analyze":
-					t0 := time.Now()
-					_, err := wk.cl.Analyze(ctx, eedclient.AnalyzeRequest{Net: info.Net})
-					wk.record("analyze", t0, err)
-				case "edit":
-					if editNet == "" {
-						continue
-					}
-					editVal += 1e-18
-					t0 := time.Now()
-					resp, err := wk.cl.Edit(ctx, eedclient.EditRequest{
-						Net:   editNet,
-						Edits: []eedclient.EditSpec{{Node: editNode, Elem: "C", Value: editVal}},
-						Node:  editNode,
-					})
-					if wk.record("edit", t0, err) {
-						editNet = resp.Net
-					}
-				case "batch":
-					items := make([]eedclient.BatchItem, 8)
-					for j := range items {
-						items[j] = eedclient.BatchItem{Net: info.Net, Node: names[rng.Intn(len(names))]}
-					}
-					t0 := time.Now()
-					_, err := wk.cl.Batch(ctx, eedclient.BatchRequest{Items: items})
-					wk.record("batch", t0, err)
-				}
-			}
-		}(w, wk)
 	}
+	var wg sync.WaitGroup
+	for _, wk := range workers {
+		wg.Add(1)
+		go func(wk *worker) {
+			defer wg.Done()
+			wk.run()
+		}(wk)
+	}
+
+	// The controller walks the schedule while the workers run.
+	armed := ""
+	for i, ph := range phases {
+		l.phase.Store(int32(i))
+		t0 := time.Now()
+		if ph.Spec != armed {
+			if _, err := admin.SetFaults(ctx, ph.Spec); err != nil {
+				r.Gates = append(r.Gates, fmt.Sprintf("arming %s: %v", ph.Name, err))
+			}
+			armed = ph.Spec
+		}
+		if ph.Restart {
+			if err := srv.Restart(); err != nil {
+				r.Gates = append(r.Gates, fmt.Sprintf("restart: %v", err))
+			}
+		}
+		if ph.Name == "recovery" {
+			l.probeRecovery(admin, r)
+		}
+		if rest := time.Duration(float64(cfg.dur)*ph.Frac) - time.Since(t0); rest > 0 {
+			time.Sleep(rest)
+		}
+		r.Phases = append(r.Phases, phaseStats{Name: ph.Name, Elapsed: time.Since(t0)})
+	}
+	l.stop.Store(true)
 	wg.Wait()
 
-	report := &benchReport{
-		Net:         netFile,
-		Sections:    info.Sections,
-		Addr:        base,
-		InProcess:   inProc,
-		DurationS:   dur.Seconds(),
-		Concurrency: conc,
-		Mix:         mix,
-		MaxRetries:  retries,
-		Ops:         map[string]opStats{},
-	}
+	lat := map[string][]time.Duration{}
 	for _, wk := range workers {
-		report.TotalRetries += wk.cl.Stats().Retries
+		st := wk.cl.Stats()
+		r.Retries += st.Retries
+		r.BreakerTrips += st.BreakerTrips
+		r.Recovered += wk.recovered
+		r.Mismatches += wk.Mismatches
+		if r.MismatchSample == "" {
+			r.MismatchSample = wk.MismatchSample
+		}
+		for i := range r.Phases {
+			r.Phases[i].Ops += wk.phaseOps[i]
+			r.Phases[i].Errors += wk.phaseFail[i]
+		}
+		for k, n := range wk.failed {
+			r.FailedByClass[k] += n
+		}
+		for name, d := range wk.lat {
+			lat[name] = append(lat[name], d...)
+		}
 	}
-	for _, name := range opNames {
-		var all []time.Duration
-		errs := 0
-		byClass := map[string]int{}
-		for _, wk := range workers {
-			all = append(all, wk.lat[name]...)
-			errs += wk.errs[name]
-			for cls, n := range wk.byClass[name] {
-				byClass[cls] += n
+	for _, ph := range r.Phases {
+		r.Total += ph.Ops
+		r.Failed += ph.Errors
+	}
+	for name, all := range lat {
+		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+		r.Ops[name] = opStats{OK: len(all), P50: obs.Percentile(all, 50), P90: obs.Percentile(all, 90), P99: obs.Percentile(all, 99)}
+	}
+	if r.Total > 0 {
+		r.SuccessPct = 100 * float64(r.Total-r.Failed) / float64(r.Total)
+	}
+
+	// The verdict.
+	if r.Mismatches > 0 {
+		r.Gates = append(r.Gates, fmt.Sprintf("%d bit-incorrect payloads (first: %s)", r.Mismatches, r.MismatchSample))
+	}
+	if floor := 100 - cfg.budgetPct; r.SuccessPct < floor {
+		r.Gates = append(r.Gates, fmt.Sprintf("success rate %.3f%% below the %.3f%% floor", r.SuccessPct, floor))
+	}
+	switch {
+	case cfg.chaos:
+		if r.RecoveredIn < 0 {
+			r.Gates = append(r.Gates, fmt.Sprintf("warm p50 never recovered under %v within %v (last probe p50 %v)",
+				cfg.warmP50, cfg.recoverWithin, r.WarmP50))
+		}
+	case r.Ops["delay"].OK > 0:
+		r.WarmP50 = r.Ops["delay"].P50
+		if cfg.warmP50 > 0 && r.WarmP50 > cfg.warmP50 {
+			r.Gates = append(r.Gates, fmt.Sprintf("warm point-query p50 %v exceeds the %v bound", r.WarmP50, cfg.warmP50))
+		}
+	case cfg.warmP50 > 0:
+		r.Gates = append(r.Gates, "-assert-warm-p50: no successful delay ops to bound")
+	}
+	return r, nil
+}
+
+// probeRecovery measures the warm point-query p50 in bursts of 30 until
+// it is within the -assert-warm-p50 bound (at once when there is none)
+// or -recover-within has passed, and books the result in r.
+func (l *load) probeRecovery(cl *eedclient.Client, r *report) {
+	node := l.names[len(l.names)-1]
+	start := time.Now()
+	for {
+		lats := make([]time.Duration, 0, 30)
+		for i := 0; i < 30; i++ {
+			t0 := time.Now()
+			if resp, err := cl.Delay(l.ctx, eedclient.DelayRequest{Net: l.shared, Node: node}); err == nil {
+				lats = append(lats, time.Since(t0))
+				r.note(l.checkDelay(node, resp.Result))
 			}
 		}
-		report.TotalRequests += len(all) + errs
-		report.TotalErrors += errs
-		if len(all)+errs == 0 {
-			continue
+		if len(lats) > 0 {
+			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+			r.WarmP50 = obs.Percentile(lats, 50)
+			if l.cfg.warmP50 == 0 || r.WarmP50 <= l.cfg.warmP50 {
+				r.RecoveredIn = time.Since(start)
+				return
+			}
 		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		st := opStats{CountN: len(all)}
-		if errs > 0 {
-			st.ErrorsByClass = byClass
+		if time.Since(start) > l.cfg.recoverWithin {
+			return
 		}
-		if len(all) > 0 {
-			st.P50us = us(obs.Percentile(all, 50))
-			st.P90us = us(obs.Percentile(all, 90))
-			st.P99us = us(obs.Percentile(all, 99))
-			st.Maxus = us(all[len(all)-1])
-			st.Throughpt = float64(len(all)) / dur.Seconds()
-		}
-		report.Ops[name] = st
+		time.Sleep(50 * time.Millisecond)
 	}
-	report.Throughput = float64(report.TotalRequests) / dur.Seconds()
-	return report, nil
 }
 
 func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
-func renderText(r *benchReport) string {
+func (r *report) render() string {
 	var b strings.Builder
-	mode := "remote"
-	if r.InProcess {
-		mode = "in-process loopback"
+	schedule := "steady"
+	if r.cfg.chaos {
+		schedule = "chaos"
 	}
-	fmt.Fprintf(&b, "eedload: %s (%d sections) against %s (%s)\n", r.Net, r.Sections, r.Addr, mode)
-	fmt.Fprintf(&b, "duration %.1fs, %d workers, mix %v, retries %d\n", r.DurationS, r.Concurrency, r.Mix, r.MaxRetries)
-	fmt.Fprintf(&b, "total %d requests (%.0f req/s), %d errors", r.TotalRequests, r.Throughput, r.TotalErrors)
-	if r.TotalRetries > 0 {
-		fmt.Fprintf(&b, ", %d retries", r.TotalRetries)
+	fmt.Fprintf(&b, "eedload: %s schedule, %s (%d sections) against %s (%s)\n", schedule, r.cfg.netFile, r.Sections, r.Base, r.Mode)
+	fmt.Fprintf(&b, "%d workers, %v, mix %v, seed %d\n\n", r.cfg.conc, r.cfg.dur, r.cfg.mix, r.cfg.seed)
+	fmt.Fprintf(&b, "%-14s %10s %10s %10s\n", "phase", "ops", "errors", "elapsed")
+	for _, ph := range r.Phases {
+		fmt.Fprintf(&b, "%-14s %10d %10d %9.1fs\n", ph.Name, ph.Ops, ph.Errors, ph.Elapsed.Seconds())
 	}
-	b.WriteString("\n\n")
-	fmt.Fprintf(&b, "%-8s %10s %10s %10s %10s %10s %10s\n", "op", "count", "p50[us]", "p90[us]", "p99[us]", "max[us]", "req/s")
+	fmt.Fprintf(&b, "\n%-8s %10s %10s %10s %10s\n", "op", "ok", "p50[us]", "p90[us]", "p99[us]")
 	for _, name := range opNames {
-		st, ok := r.Ops[name]
-		if !ok {
-			continue
+		if st, ok := r.Ops[name]; ok {
+			fmt.Fprintf(&b, "%-8s %10d %10.1f %10.1f %10.1f\n", name, st.OK, us(st.P50), us(st.P90), us(st.P99))
 		}
-		fmt.Fprintf(&b, "%-8s %10d %10.1f %10.1f %10.1f %10.1f %10.0f\n",
-			name, st.CountN, st.P50us, st.P90us, st.P99us, st.Maxus, st.Throughpt)
 	}
-	wroteHeader := false
-	for _, name := range opNames {
-		st, ok := r.Ops[name]
-		if !ok || len(st.ErrorsByClass) == 0 {
-			continue
+	fmt.Fprintf(&b, "\ntotal %d ops (%.0f ops/s): %d ok, %d recovered, %d failed (%.3f%% success, budget %.3f%%)\n",
+		r.Total, float64(r.Total)/r.cfg.dur.Seconds(), r.Total-r.Recovered-r.Failed, r.Recovered, r.Failed,
+		r.SuccessPct, r.cfg.budgetPct)
+	if len(r.FailedByClass) > 0 {
+		keys := make([]string, 0, len(r.FailedByClass))
+		for k := range r.FailedByClass {
+			keys = append(keys, k)
 		}
-		if !wroteHeader {
-			b.WriteString("\nerrors by class:\n")
-			wroteHeader = true
-		}
-		classes := make([]string, 0, len(st.ErrorsByClass))
-		for cls := range st.ErrorsByClass {
-			classes = append(classes, cls)
-		}
-		sort.Strings(classes)
-		fmt.Fprintf(&b, "  %-8s", name)
-		for _, cls := range classes {
-			fmt.Fprintf(&b, " %s=%d", cls, st.ErrorsByClass[cls])
+		sort.Strings(keys)
+		b.WriteString("failures by class:")
+		for _, k := range keys {
+			fmt.Fprintf(&b, " %s=%d", k, r.FailedByClass[k])
 		}
 		b.WriteString("\n")
+	}
+	fmt.Fprintf(&b, "client: %d retries, %d breaker trips\n", r.Retries, r.BreakerTrips)
+	fmt.Fprintf(&b, "bit-incorrect payloads: %d\n", r.Mismatches)
+	bound := "no bound"
+	if r.cfg.warmP50 > 0 {
+		bound = "bound " + r.cfg.warmP50.String()
+	}
+	switch {
+	case !r.cfg.chaos:
+		fmt.Fprintf(&b, "warm point-query p50: %.1fus (%s)\n", us(r.WarmP50), bound)
+	case r.RecoveredIn >= 0:
+		fmt.Fprintf(&b, "recovery: warm p50 %.1fus (%s) after %.2fs\n", us(r.WarmP50), bound, r.RecoveredIn.Seconds())
+	default:
+		fmt.Fprintf(&b, "recovery: NEVER (last p50 %.1fus, %s)\n", us(r.WarmP50), bound)
+	}
+	if len(r.Gates) == 0 {
+		b.WriteString("verdict: PASS\n")
+	} else {
+		fmt.Fprintf(&b, "verdict: FAIL (%s)\n", strings.Join(r.Gates, "; "))
 	}
 	return b.String()
 }

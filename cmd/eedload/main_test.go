@@ -1,15 +1,40 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"eedtree/internal/eedclient"
+	"eedtree/internal/eedsrv"
+	"eedtree/internal/engine"
 	"eedtree/internal/faultinj"
-	"eedtree/internal/obs"
 )
+
+// TestMain turns the test binary into eedload when re-exec'd, so the
+// usage rules are checked through the real flag parsing and exit codes.
+func TestMain(m *testing.M) {
+	if os.Getenv("EEDLOAD_E2E") == "1" {
+		os.Exit(realMain())
+	}
+	os.Exit(m.Run())
+}
+
+var line64 = filepath.Join("..", "..", "examples", "nets", "line64.tree")
+
+// steady is a short steady run against the in-process server.
+func steady(mix map[string]int) config {
+	return config{netFile: line64, dur: 300 * time.Millisecond, conc: 4, mix: mix, seed: 1,
+		budgetPct: 1, recoverWithin: time.Second}
+}
 
 func TestParseMix(t *testing.T) {
 	mix, err := parseMix("delay=90,analyze=5,edit=5")
@@ -23,113 +48,179 @@ func TestParseMix(t *testing.T) {
 	}
 }
 
-// TestPct pins the shared obs.Percentile helper to the semantics the
-// harness's own pct() had before the dedupe: nearest-rank on a sorted
-// slice, clamped, zero for empty input.
-func TestPct(t *testing.T) {
-	lat := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := obs.Percentile(lat, 50); got != 5 {
-		t.Fatalf("p50 = %v, want 5", got)
-	}
-	if got := obs.Percentile(lat, 99); got != 10 {
-		t.Fatalf("p99 = %v, want 10", got)
-	}
-	if got := obs.Percentile(lat[:1], 99); got != 1 {
-		t.Fatalf("single-sample p99 = %v, want 1", got)
-	}
-	if got := obs.Percentile[time.Duration](nil, 50); got != 0 {
-		t.Fatalf("empty p50 = %v, want 0", got)
+func TestUsageErrorsExit2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-d", "1s"}, // no -net
+		{"-net", line64, "-mix", "delay=0"},
+		{"-net", line64, "-addr", "http://127.0.0.1:1", "-eedd", "eedd"},
+		// A remote daemon cannot be restarted.
+		{"-net", line64, "-chaos", "-addr", "http://127.0.0.1:1"},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "EEDLOAD_E2E=1")
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("args %v: err %v, want exit 2\n%s", args, err, out)
+		}
 	}
 }
 
-// TestShortRunInProcess drives the full harness — in-process server,
-// registration, warmup, mixed load, report — for a fraction of a second
-// and checks the report.
+// TestShortRunInProcess drives the steady schedule (in-process server,
+// registration, warmup, mixed load, oracle, report) for a fraction of a
+// second and checks the report.
 func TestShortRunInProcess(t *testing.T) {
-	netFile := filepath.Join("..", "..", "examples", "nets", "line64.tree")
-	mix := map[string]int{"delay": 8, "analyze": 1, "edit": 1, "batch": 1}
-	report, err := run(netFile, "", 300*time.Millisecond, 4, mix, 0)
+	r, err := run(steady(map[string]int{"delay": 8, "analyze": 1, "edit": 1, "batch": 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Sections != 64 || !report.InProcess {
-		t.Fatalf("report header = %+v", report)
+	if r.Sections != 64 || r.Mode != "in-process" || len(r.Phases) != 1 || r.Total == 0 {
+		t.Fatalf("report = %+v", r)
 	}
-	if report.TotalErrors != 0 {
-		t.Fatalf("%d errors under clean load", report.TotalErrors)
+	if r.Failed != 0 || r.Recovered != 0 || r.Mismatches != 0 || len(r.Gates) != 0 {
+		t.Fatalf("clean load did not pass cleanly:\n%s", r.render())
 	}
-	if report.TotalRequests == 0 || report.Throughput <= 0 {
-		t.Fatalf("no load recorded: %+v", report)
-	}
-	for _, op := range []string{"delay", "analyze", "edit", "batch"} {
-		st, ok := report.Ops[op]
-		if !ok || st.CountN == 0 {
-			t.Fatalf("op %s missing from the report: %+v", op, report.Ops)
-		}
-		if st.P50us <= 0 || st.P99us < st.P50us || st.Maxus < st.P99us {
-			t.Fatalf("op %s: implausible percentiles %+v", op, st)
+	for _, op := range opNames {
+		st := r.Ops[op]
+		if st.OK == 0 || st.P50 <= 0 || st.P90 < st.P50 || st.P99 < st.P90 {
+			t.Fatalf("op %s: implausible stats %+v", op, st)
 		}
 	}
-	if txt := renderText(report); len(txt) == 0 {
-		t.Fatal("empty text report")
+	if r.WarmP50 != r.Ops["delay"].P50 || !strings.Contains(r.render(), "verdict: PASS") {
+		t.Fatalf("report:\n%s", r.render())
 	}
 }
 
 func TestRunRejectsMissingNet(t *testing.T) {
-	if _, err := run(filepath.Join(t.TempDir(), "nope.tree"), "", time.Second, 1, map[string]int{"delay": 1}, 0); err == nil {
+	cfg := steady(map[string]int{"delay": 1})
+	cfg.netFile = filepath.Join(t.TempDir(), "nope.tree")
+	if _, err := run(cfg); err == nil {
 		t.Fatal("missing net file should error")
 	}
 }
 
-// TestErrorClassBreakdown checks the per-guard-class error tally the
-// report satellites expose: classes come from the typed client error.
-func TestErrorClassBreakdown(t *testing.T) {
-	wk, err := newWorker("http://127.0.0.1:0", 1, 0)
+// TestSteadyRunCatchesOneUlp: a server that moves every served delay50
+// by one ulp fails the run on bit-incorrect payloads.
+func TestSteadyRunCatchesOneUlp(t *testing.T) {
+	h := eedsrv.New(eedsrv.Options{Engine: engine.New(engine.Options{})}).Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path != "/v1/delay" {
+			h.ServeHTTP(w, req)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		var resp eedsrv.DelayResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil {
+			t.Errorf("delay: status %d, err %v: %s", rec.Code, err, rec.Body)
+			return
+		}
+		resp.Result.Delay50 = math.Nextafter(resp.Result.Delay50, math.Inf(1))
+		json.NewEncoder(w).Encode(resp)
+	}))
+	defer ts.Close()
+	cfg := steady(map[string]int{"delay": 1})
+	cfg.addr = ts.URL
+	r, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t0 := time.Now()
-	wk.record("delay", t0, nil)
-	wk.record("delay", t0, &eedclient.Error{Op: "delay", Status: 422, Class: "numeric"})
-	wk.record("delay", t0, &eedclient.Error{Op: "delay", Status: 503, Class: "draining"})
-	wk.record("delay", t0, &eedclient.Error{Op: "delay", Status: 502})
-	wk.record("delay", t0, &eedclient.Error{Op: "delay", Err: eedclient.ErrBreakerOpen})
-	wk.record("delay", t0, errors.New("plain transport failure"))
-	if len(wk.lat["delay"]) != 1 || wk.errs["delay"] != 5 {
-		t.Fatalf("lat=%d errs=%d", len(wk.lat["delay"]), wk.errs["delay"])
+	if r.Mismatches == 0 || len(r.Gates) == 0 || !strings.Contains(r.render(), "verdict: FAIL") {
+		t.Fatalf("a one-ulp delay50 went unnoticed:\n%s", r.render())
 	}
-	want := map[string]int{"numeric": 1, "draining": 1, "http_502": 1, "breaker_open": 1, "transport": 1}
-	for cls, n := range want {
-		if wk.byClass["delay"][cls] != n {
-			t.Fatalf("class %s = %d, want %d (all: %v)", cls, wk.byClass["delay"][cls], n, wk.byClass["delay"])
+}
+
+// TestErrorClassBreakdown: failures are classed by the class the server
+// sent, else the status, else as transport. A breaker refusal inherits
+// the status and class of the failure that opened the breaker, yet it is
+// booked as breaker_open, apart from the real failures of that class.
+func TestErrorClassBreakdown(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{&eedclient.Error{Op: "delay", Status: 422, Class: "numeric"}, "numeric"},
+		{&eedclient.Error{Op: "delay", Status: 503, Class: "draining"}, "draining"},
+		{&eedclient.Error{Op: "delay", Status: 503, Class: "draining", Err: eedclient.ErrBreakerOpen}, "breaker_open"},
+		{&eedclient.Error{Op: "delay", Err: eedclient.ErrBreakerOpen}, "breaker_open"},
+		{&eedclient.Error{Op: "delay", Status: 502}, "http_502"},
+		{&eedclient.Error{Op: "delay", Err: errors.New("connection refused")}, "transport"},
+		{errors.New("plain transport failure"), "transport"},
+	} {
+		if got := failureClass(c.err); got != c.want {
+			t.Errorf("failureClass(%v) = %s, want %s", c.err, got, c.want)
 		}
 	}
 }
 
-// TestShortRunWithRetriesUnderFaults drives the harness in retry mode
-// against an in-process server with a low-rate injected queue timeout:
-// the client's Retry-After-aware loop should absorb every injected
-// rejection, leaving a clean report with a nonzero retry count.
-func TestShortRunWithRetriesUnderFaults(t *testing.T) {
-	plan, err := faultinj.Parse("seed=3;srv.queue_timeout:p=0.05")
+func TestScheduleFractionsSumToOne(t *testing.T) {
+	for _, phases := range [][]phase{steadySchedule, chaosSchedule(1)} {
+		total := 0.0
+		for _, ph := range phases {
+			total += ph.Frac
+			if ph.Spec != "" {
+				if _, err := faultinj.Parse(ph.Spec); err != nil {
+					t.Fatalf("phase %s spec %q: %v", ph.Name, ph.Spec, err)
+				}
+			}
+		}
+		if total < 0.999 || total > 1.001 {
+			t.Fatalf("phase fractions sum to %v, want 1", total)
+		}
+	}
+}
+
+func TestSameResultIsBitExact(t *testing.T) {
+	f := 1.25e-9
+	g := 1.25e-9
+	a := eedsrv.NodeResult{Node: "x", Delay50: f, Zeta: &f}
+	b := eedsrv.NodeResult{Node: "x", Delay50: g, Zeta: &g}
+	if !sameResult(a, b) {
+		t.Fatal("identical results reported unequal")
+	}
+	h := math.Nextafter(g, 1) // one ulp away
+	for name, c := range map[string]eedsrv.NodeResult{
+		"delay_ulp":  {Node: "x", Delay50: h, Zeta: &g},
+		"zeta_ulp":   {Node: "x", Delay50: g, Zeta: &h},
+		"zeta_nil":   {Node: "x", Delay50: g},
+		"other_node": {Node: "y", Delay50: g, Zeta: &g},
+		"degraded":   {Node: "x", Delay50: g, Zeta: &g, Degraded: true},
+	} {
+		if sameResult(a, c) {
+			t.Fatalf("%s: differing results reported equal", name)
+		}
+	}
+}
+
+// TestShortSoakInProcess runs the chaos schedule (every fault family
+// plus a listener-bounce restart) compressed into ~2.5s against an
+// in-process server, and requires every gate to pass.
+func TestShortSoakInProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos soak takes ~3s")
+	}
+	r, err := run(config{
+		netFile:       line64,
+		chaos:         true,
+		dur:           2500 * time.Millisecond,
+		conc:          4,
+		mix:           map[string]int{"delay": 60, "analyze": 15, "edit": 25},
+		seed:          7,
+		budgetPct:     5, // short runs amplify per-op noise; CI soaks use 1
+		warmP50:       10 * time.Millisecond,
+		recoverWithin: 3 * time.Second,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	faultinj.Activate(plan)
-	t.Cleanup(faultinj.Deactivate)
-	netFile := filepath.Join("..", "..", "examples", "nets", "line64.tree")
-	mix := map[string]int{"delay": 8, "edit": 2}
-	report, err := run(netFile, "", 300*time.Millisecond, 4, mix, 3)
-	if err != nil {
-		t.Fatal(err)
+	if len(r.Gates) > 0 {
+		t.Fatalf("gates failed: %v\n%s", r.Gates, r.render())
 	}
-	if faultinj.Fired(faultinj.SrvQueueTimeout) == 0 {
-		t.Skip("fault never fired in this short run")
+	if r.Total == 0 || len(r.Phases) != 7 {
+		t.Fatalf("soak did not run:\n%s", r.render())
 	}
-	if report.TotalRetries == 0 {
-		t.Fatal("faults fired but the client never retried")
-	}
-	if report.TotalErrors != 0 {
-		t.Fatalf("retry loop leaked %d errors: %+v", report.TotalErrors, report.Ops)
+	// The fault phases actually exercised the client's resilience.
+	if r.Retries == 0 && r.Recovered == 0 {
+		t.Fatalf("no retries and no recoveries, so the faults never bit:\n%s", r.render())
 	}
 }

@@ -91,10 +91,11 @@ func FromSums(sr, sl float64) (SecondOrder, error) {
 	}
 	root := math.Sqrt(sl)
 	zeta, omegaN := sr/(2*root), 1/root
-	if omegaN == 0 || math.IsInf(omegaN, 0) || math.IsNaN(zeta) {
+	if omegaN == 0 || math.IsInf(omegaN, 0) || math.IsNaN(zeta) || math.IsInf(zeta, 0) {
 		// Overflow/underflow of the summations (denormal or enormous
-		// Σ C·L): the second-order form is numerically meaningless.
-		rc.degradedReason = fmt.Sprintf("degenerate second-order model (Σ C·L = %g): falling back to RC Elmore", sl)
+		// Σ C·L, or a ζ that overflows): the second-order form is
+		// numerically meaningless.
+		rc.degradedReason = fmt.Sprintf("degenerate second-order model (Σ C·R = %g, Σ C·L = %g): falling back to RC Elmore", sr, sl)
 		rc.degradedClass = DegradedDegenerate
 		return rc, nil
 	}

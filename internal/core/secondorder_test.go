@@ -24,20 +24,21 @@ func TestFromSumsValidation(t *testing.T) {
 			t.Errorf("FromSums(%g, 0): error %v not classed guard.ErrNumeric", sr, err)
 		}
 	}
-	// A non-physical inductance summation degrades to the RC (Wyatt)
-	// model instead of failing: the RC part of the characterization is
-	// still trustworthy.
-	for _, sl := range []float64{-1, math.NaN(), math.Inf(1)} {
-		m, err := FromSums(1e-9, sl)
+	// A non-physical inductance summation, or one whose ζ overflows,
+	// degrades to the RC (Wyatt) model instead of failing: the RC part of
+	// the characterization is still trustworthy.
+	for _, in := range [][2]float64{{1e-9, -1}, {1e-9, math.NaN()}, {1e-9, math.Inf(1)}, {1e300, 1e-200}} {
+		sr, sl := in[0], in[1]
+		m, err := FromSums(sr, sl)
 		if err != nil {
-			t.Fatalf("FromSums(1e-9, %g): unexpected error %v", sl, err)
+			t.Fatalf("FromSums(%g, %g): unexpected error %v", sr, sl, err)
 		}
 		if !m.RCOnly() || !m.Degraded() || m.DegradedReason() == "" {
-			t.Errorf("FromSums(1e-9, %g): want degraded RC fallback, got %v (reason %q)",
-				sl, m, m.DegradedReason())
+			t.Errorf("FromSums(%g, %g): want degraded RC fallback, got %v (reason %q)",
+				sr, sl, m, m.DegradedReason())
 		}
-		if got, want := m.Delay50(), math.Ln2*1e-9; math.Abs(got-want) > 1e-20 {
-			t.Errorf("FromSums(1e-9, %g): Delay50 = %g, want Wyatt %g", sl, got, want)
+		if got, want := m.Delay50(), math.Ln2*sr; got != want {
+			t.Errorf("FromSums(%g, %g): Delay50 = %g, want Wyatt %g", sr, sl, got, want)
 		}
 	}
 }

@@ -243,12 +243,19 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // Inflight returns the number of analysis requests currently executing.
 func (s *Server) Inflight() int { return int(s.inflight.Load()) }
 
-// writeJSON writes v with the given status.
+// writeJSON writes v with the given status. A 200 is committed by the
+// encoder's single Write, which happens only once v has encoded: a
+// result that JSON cannot carry (a ±Inf or NaN float) is answered with
+// a numeric-class 422 instead of an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	if status != http.StatusOK {
+		w.WriteHeader(status)
+	}
+	var uv *json.UnsupportedValueError
+	if err := json.NewEncoder(w).Encode(v); errors.As(err, &uv) && status == http.StatusOK {
+		writeError(w, guard.Newf(guard.ErrNumeric, "eedsrv", "result not representable in JSON: %v", err))
+	}
 }
 
 // writeError renders err as the JSON error body with its mapped status.

@@ -282,6 +282,9 @@ func TestStatusMatrixOverTheWire(t *testing.T) {
 		{"negative_value", "POST", "/v1/edit", EditRequest{Net: info.Net, Node: "s1", Edits: []EditSpec{{Node: "s1", Elem: "R", Value: -1}}}, 422, "topology"},
 		{"bad_fingerprint", "POST", "/v1/delay", DelayRequest{Net: "zz", Node: "s1"}, 400, "parse"},
 		{"batch_empty", "POST", "/v1/batch", BatchRequest{}, 400, "parse"},
+		// Σ C·R = 1e308 overflows the rise time ln 9·Σ C·R to +Inf.
+		{"numeric_delay_overflow", "POST", "/v1/delay", DelayRequest{Tree: "a - 1e200 0 1e108", Node: "a"}, 422, "numeric"},
+		{"numeric_analyze_overflow", "POST", "/v1/analyze", AnalyzeRequest{Tree: "a - 1e200 0 1e108"}, 422, "numeric"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
