@@ -531,6 +531,12 @@ func (w *worker) do(kind string) {
 		w.recovered++
 		return
 	}
+	w.noteFailure(ph, kind, err)
+}
+
+// noteFailure books an unrecovered failure against its phase and its
+// "op:class" tally.
+func (w *worker) noteFailure(ph int32, kind string, err error) {
 	w.phaseFail[ph]++
 	w.failed[kind+":"+failureClass(err)]++
 }

@@ -153,6 +153,31 @@ func TestErrorClassBreakdown(t *testing.T) {
 	}
 }
 
+// TestFailureClassBreakerRefusal: a breaker refusal inherits the status
+// and class of the failure that opened the breaker, yet it is booked as
+// breaker_open, apart from the real failures of that class, and every
+// failure counts against its phase.
+func TestFailureClassBreakerRefusal(t *testing.T) {
+	w := &worker{failed: map[string]int{}, phaseFail: make([]int, 1)}
+	w.noteFailure(0, "delay", &eedclient.Error{Op: "delay", Status: 503, Class: "draining"})
+	w.noteFailure(0, "delay", &eedclient.Error{Op: "delay", Status: 503, Class: "draining", Err: eedclient.ErrBreakerOpen})
+	w.noteFailure(0, "delay", &eedclient.Error{Op: "delay", Err: eedclient.ErrBreakerOpen})
+	w.noteFailure(0, "delay", &eedclient.Error{Op: "delay", Status: 502})
+	w.noteFailure(0, "delay", errors.New("plain transport failure"))
+	want := map[string]int{"delay:draining": 1, "delay:breaker_open": 2, "delay:http_502": 1, "delay:transport": 1}
+	for cls, n := range want {
+		if got := w.failed[cls]; got != n {
+			t.Errorf("class %s = %d, want %d (all: %v)", cls, got, n, w.failed)
+		}
+	}
+	if len(w.failed) != len(want) {
+		t.Errorf("classes = %v, want %v", w.failed, want)
+	}
+	if w.phaseFail[0] != 5 {
+		t.Errorf("phase errors = %d, want 5", w.phaseFail[0])
+	}
+}
+
 func TestScheduleFractionsSumToOne(t *testing.T) {
 	for _, phases := range [][]phase{steadySchedule, chaosSchedule(1)} {
 		total := 0.0
