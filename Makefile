@@ -56,8 +56,9 @@ bench:
 # drives an in-process eedd with a mixed point-query / sweep / edit /
 # batch stream, checks every payload bit for bit against direct core
 # analysis, prints per-operation latency percentiles and throughput, and
-# fails on any bit-incorrect payload, on more than 1% failed ops, or if
-# the warm point-query p50 on the 64-segment example net exceeds 1ms.
+# fails on any bit-incorrect payload, on more than 1% of ops failing at
+# the first attempt (healed or not), or if the warm point-query p50 on
+# the 64-segment example net exceeds 1ms.
 LOADTIME ?= 30s
 LOADCONC ?= 8
 service-bench:
@@ -75,7 +76,7 @@ CHAOSCONC ?= 8
 chaos-soak:
 	$(GO) build -o eedd ./cmd/eedd/
 	$(GO) run ./cmd/eedload -chaos -eedd ./eedd -net examples/nets/line64.tree \
-		-d $(CHAOSTIME) -c $(CHAOSCONC) -seed 7 -mix delay=60,analyze=15,edit=25 \
+		-d $(CHAOSTIME) -c $(CHAOSCONC) -seed 7 -mix delay=58,analyze=15,edit=27 \
 		-budget 1.0 -assert-warm-p50 5ms -recover-within 5s
 
 # chip-bench: the full-chip streaming gate. Streams a synthetic 1M-net /

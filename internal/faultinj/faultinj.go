@@ -20,9 +20,10 @@
 // chaos harness replay a failing soak from its recorded seed.
 //
 // Activation is process-global (one service per process, like the obs
-// registry): cmd/eedd arms a plan from -faults at startup, the test-only
-// /v1/faults admin endpoint swaps plans at runtime, and tests call
-// Activate/Deactivate directly. See Parse for the spec grammar.
+// registry): plans are armed only through the test-only /v1/faults admin
+// endpoint (mounted by eedd -faults-admin), which swaps them at runtime,
+// or by tests calling Activate/Deactivate directly. See Parse for the
+// spec grammar.
 package faultinj
 
 import (

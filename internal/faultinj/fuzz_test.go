@@ -2,7 +2,7 @@ package faultinj
 
 import "testing"
 
-// FuzzParseFaultSpec throws hostile specs at the -faults / /v1/faults
+// FuzzParseFaultSpec throws hostile specs at the /v1/faults spec
 // parser. Invariants: Parse never panics; an accepted spec has at least
 // one rule, all probabilities in [0,1], non-negative durations; and the
 // canonical rendering is a fixed point — Parse(p.String()).String() ==

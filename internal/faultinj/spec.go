@@ -9,7 +9,7 @@ import (
 	"eedtree/internal/obs"
 )
 
-// Spec grammar (the -faults flag and the /v1/faults admin body):
+// Spec grammar (the /v1/faults admin body):
 //
 //	spec   := clause (';' clause)*
 //	clause := "seed=" uint64
