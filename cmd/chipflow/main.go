@@ -84,7 +84,6 @@ func realMain() int {
 	maxElems := flag.Int("max-elements", 0, "abort past this many parasitic elements (0 = sized for the input)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	metricsOut := flag.String("metrics", "", `write the metrics exposition to this file at exit ("-" = stdout, *.json = JSON form)`)
-	traceOut := flag.String("trace", "", `write the pipeline span tree as JSON to this file at exit ("-" = stdout)`)
 	failedOut := flag.String("failed", "", `write the failed-net wide events retained by the flight recorder as JSON to this file at exit ("-" = stdout)`)
 	pprofAddr := flag.String("pprof", "", `serve net/http/pprof on this address (empty = no listener)`)
 	assertRSSMB := flag.Int("assert-rss-mb", 0, "fail (exit 1) if peak RSS exceeds this many MiB (0 = no assertion)")
@@ -122,20 +121,9 @@ func realMain() int {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	var trace *obs.Trace
-	if *traceOut != "" {
-		trace = obs.NewTrace("chipflow")
-		ctx = obs.WithTrace(ctx, trace)
-	}
 
 	run, err := execute(ctx, cfg, limitsFor(cfg, *maxNets, *maxElems))
 
-	if trace != nil {
-		trace.Finish()
-		if derr := trace.DumpJSON(*traceOut); derr != nil {
-			fmt.Fprintf(os.Stderr, "chipflow: -trace: %v\n", derr)
-		}
-	}
 	if *metricsOut != "" {
 		if derr := obs.Default().DumpPrometheus(*metricsOut); derr != nil {
 			fmt.Fprintf(os.Stderr, "chipflow: -metrics: %v\n", derr)
@@ -170,9 +158,9 @@ func realMain() int {
 // buffer bound — as a JSON array, newest first. A clean run writes [].
 func dumpFailedNets(path string) error {
 	var failed []obs.WideEvent
-	for _, cp := range obs.DefaultFlight().Captures() {
-		if cp.Event.Route == "pipeline.net" && cp.Event.Class != "" {
-			failed = append(failed, cp.Event)
+	for _, ev := range obs.DefaultFlight().Captures() {
+		if ev.Route == "pipeline.net" && ev.Class != "" {
+			failed = append(failed, ev)
 		}
 	}
 	if failed == nil {
@@ -236,14 +224,10 @@ func execute(ctx context.Context, cfg config, lim guard.Limits) (*chipRun, error
 	}
 	defer cleanup()
 
-	st, ctx := obs.StartStage(ctx, "pipeline", nil)
 	report, stats, err := engine.RunPipeline(ctx, r, pcfg)
 	if err != nil {
-		st.End(guard.ClassName(err))
 		return nil, err
 	}
-	st.SetSections(stats.Sections)
-	st.End("")
 	run.Report = report
 	run.Stats = stats
 	if cfg.synth > 0 {
@@ -254,13 +238,10 @@ func execute(ctx context.Context, cfg config, lim guard.Limits) (*chipRun, error
 	}
 
 	if cfg.verify {
-		st, ctx := obs.StartStage(ctx, "verify", nil)
 		twinHash, err := serialTwinHash(ctx, cfg, lim)
 		if err != nil {
-			st.End(guard.ClassName(err))
 			return nil, fmt.Errorf("verify: %w", err)
 		}
-		st.End("")
 		if pipeHash.sum() != twinHash {
 			return nil, fmt.Errorf("verify: pipeline results differ from the serial slow twin (hash %016x vs %016x over %d nets)",
 				pipeHash.sum(), twinHash, stats.Nets+stats.Failed)
@@ -291,15 +272,13 @@ func openInput(ctx context.Context, cfg config) (io.Reader, func(), error) {
 
 // serialTwinHash streams the same input again and analyzes every net
 // serially with engine.AnalyzeNet, hashing results exactly the way the
-// pipeline's OnNet hook does. Like the pipeline's workers, the per-net
-// analyses run without the trace, so a traced run stays flat in memory.
+// pipeline's OnNet hook does.
 func serialTwinHash(ctx context.Context, cfg config, lim guard.Limits) (uint64, error) {
 	r, cleanup, err := openInput(ctx, cfg)
 	if err != nil {
 		return 0, err
 	}
 	defer cleanup()
-	netCtx := obs.WithoutTrace(ctx)
 	h := newNetHasher()
 	s := spef.StreamLimits(r, lim)
 	for i := 0; ; i++ {
@@ -311,7 +290,7 @@ func serialTwinHash(ctx context.Context, cfg config, lim guard.Limits) (uint64, 
 			return 0, err
 		}
 		res := engine.NetResult{Index: i, Net: n.Name}
-		res.Summary, res.Err = engine.AnalyzeNet(netCtx, n, s.Units())
+		res.Summary, res.Err = engine.AnalyzeNet(ctx, n, s.Units())
 		h.observe(res)
 		s.Recycle(n)
 	}

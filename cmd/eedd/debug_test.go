@@ -87,17 +87,17 @@ func TestDebugEndpointsSmoke(t *testing.T) {
 		}
 	}
 
-	// The 504 must sit in the slow/error capture buffer with a span tree.
+	// The 504 must sit in the slow/error capture buffer.
 	var slow eedsrv.DebugSlowResponse
 	getDebugJSON(t, base+"/v1/debug/slow", &slow)
 	found := false
-	for _, cp := range slow.Captures {
-		if cp.Event.RequestID == rid && cp.Event.Status == 504 && cp.Spans != nil {
+	for _, ev := range slow.Captures {
+		if ev.RequestID == rid && ev.Status == 504 && ev.Attempt == 1 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no span-carrying 504 capture for %s among %d captures", rid, len(slow.Captures))
+		t.Fatalf("no first-attempt 504 capture for %s among %d captures", rid, len(slow.Captures))
 	}
 
 	// Structured log: JSON lines whose request_id matches the edit's ID,

@@ -59,7 +59,7 @@ func realMain() int {
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the service mux")
 	faultsAdmin := flag.Bool("faults-admin", false, "TESTING ONLY: mount POST /v1/faults to arm a fault-injection plan at runtime")
 	logPath := flag.String("log", "", "structured JSON request log destination: a file (appended) or - for stdout")
-	debugReq := flag.Bool("debug-requests", false, "mount the live flight-recorder views /v1/debug/requests and /v1/debug/slow, arming per-request span tracing")
+	debugReq := flag.Bool("debug-requests", false, "mount the live flight-recorder views /v1/debug/requests and /v1/debug/slow")
 	slowThresh := flag.Duration("slow-threshold", 0, "requests slower than this land in the /v1/debug/slow capture buffer (0 = default 250ms)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: eedd [flags]\n")

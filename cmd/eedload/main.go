@@ -44,6 +44,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/hex"
 	"errors"
@@ -371,6 +372,23 @@ func sameResult(a, b eedsrv.NodeResult) bool {
 		a.Degraded == b.Degraded && a.DegradedClass == b.DegradedClass
 }
 
+// showResult renders a wire result by value for a mismatch report, with
+// "-" for an absent optional field.
+func showResult(r *eedsrv.NodeResult) string {
+	if r == nil {
+		return "no result"
+	}
+	opt := func(p *float64) string {
+		if p == nil {
+			return "-"
+		}
+		return fmt.Sprint(*p)
+	}
+	return fmt.Sprintf("{node:%s zeta:%s omega_n:%s delay50:%v rise:%v overshoot:%v settle:%s elmore50:%v elmore_rise:%v degraded:%v degraded_class:%s}",
+		r.Node, opt(r.Zeta), opt(r.OmegaN), r.Delay50, r.Rise, r.Overshoot, opt(r.Settle),
+		r.Elmore50, r.ElmoreRise, r.Degraded, cmp.Or(r.DegradedClass, "-"))
+}
+
 // oracleFor computes the ground-truth wire results for a tree with the
 // core analyzer directly: no engine sessions, no fault points, no HTTP.
 func oracleFor(tree *rlctree.Tree) (map[string]eedsrv.NodeResult, []eedsrv.NodeResult, error) {
@@ -562,7 +580,7 @@ func (w *worker) op(kind string) (call func() error, check func() string) {
 			}
 			for i, want := range w.ordered {
 				if !sameResult(resp.Nodes[i], want) {
-					return fmt.Sprintf("analyze node %s: got %+v want %+v", want.Node, resp.Nodes[i], want)
+					return fmt.Sprintf("analyze node %s: got %s want %s", want.Node, showResult(&resp.Nodes[i]), showResult(&want))
 				}
 			}
 			return ""
@@ -592,7 +610,7 @@ func (w *worker) op(kind string) (call func() error, check func() string) {
 			}
 			for j, it := range resp.Results {
 				if want := w.byName[items[j].Node]; it.Result == nil || !sameResult(*it.Result, want) {
-					return fmt.Sprintf("batch item %d (%s): got %+v want %+v", j, items[j].Node, it.Result, want)
+					return fmt.Sprintf("batch item %d (%s): got %s want %s", j, items[j].Node, showResult(it.Result), showResult(&want))
 				}
 			}
 			return ""
@@ -623,7 +641,7 @@ func (w *worker) op(kind string) (call func() error, check func() string) {
 				return fmt.Sprintf("edit oracle: %v", err)
 			}
 			if want := byName[w.stub]; !sameResult(resp.Result, want) {
-				return fmt.Sprintf("edit result %s: got %+v want %+v", w.stub, resp.Result, want)
+				return fmt.Sprintf("edit result %s: got %s want %s", w.stub, showResult(&resp.Result), showResult(&want))
 			}
 			return ""
 		}
@@ -693,7 +711,7 @@ func (m *mismatches) note(desc string) {
 // checkDelay compares a served point query with the oracle.
 func (l *load) checkDelay(node string, got eedsrv.NodeResult) string {
 	if want := l.byName[node]; !sameResult(got, want) {
-		return fmt.Sprintf("delay %s: got %+v want %+v", node, got, want)
+		return fmt.Sprintf("delay %s: got %s want %s", node, showResult(&got), showResult(&want))
 	}
 	return ""
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -138,6 +139,11 @@ func TestSteadyRunFailsABadServer(t *testing.T) {
 	if r.Mismatches == 0 || r.HealedByClass["delay:http_500"] == 0 || len(r.Gates) != 2 ||
 		!strings.Contains(r.render(), "healed by class: delay:http_500=") {
 		t.Fatalf("want bit-incorrect payloads and healed 500s to fail the run:\n%s", r.render())
+	}
+	// The sample shows both differing delay50 values, and no address.
+	d := regexp.MustCompile(`delay50:(\S+)`).FindAllStringSubmatch(r.MismatchSample, -1)
+	if len(d) != 2 || d[0][1] == d[1][1] || strings.Contains(r.MismatchSample, "0x") {
+		t.Fatalf("mismatch sample does not show the differing values: %s", r.MismatchSample)
 	}
 }
 

@@ -36,13 +36,12 @@ func main() {
 }
 
 // realMain is main with an exit code instead of os.Exit, so deferred
-// cleanup (pprof shutdown, trace/metrics dumps) runs before the process
+// cleanup (pprof shutdown, the metrics dump) runs before the process
 // ends.
 func realMain() int {
 	riseFlag := flag.String("rise", "0", "10-90% rise time of the input edge (e.g. 50p); 0 = ideal step")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	metricsOut := flag.String("metrics", "", `write the metrics exposition to this file at exit ("-" = stdout, *.json = JSON form)`)
-	traceOut := flag.String("trace", "", `write the pipeline span tree as JSON to this file at exit ("-" = stdout)`)
 	pprofAddr := flag.String("pprof", "", `serve net/http/pprof on this address (e.g. "localhost:6060"; empty = no listener)`)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: pathdelay [flags] <spec-file>\n")
@@ -73,22 +72,11 @@ func realMain() int {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	var trace *obs.Trace
-	if *traceOut != "" {
-		trace = obs.NewTrace("pathdelay")
-		ctx = obs.WithTrace(ctx, trace)
-	}
 	// guard.Run honors -timeout and converts an internal fault into a
 	// classed error instead of a crash.
-	err := guard.Run(ctx, func(ctx context.Context) error {
-		return run(ctx, flag.Arg(0), *riseFlag)
+	err := guard.Run(ctx, func(context.Context) error {
+		return run(flag.Arg(0), *riseFlag)
 	})
-	if trace != nil {
-		trace.Finish()
-		if derr := trace.DumpJSON(*traceOut); derr != nil {
-			fmt.Fprintf(os.Stderr, "pathdelay: -trace: %v\n", derr)
-		}
-	}
 	if *metricsOut != "" {
 		if derr := obs.Default().DumpPrometheus(*metricsOut); derr != nil {
 			fmt.Fprintf(os.Stderr, "pathdelay: -metrics: %v\n", derr)
@@ -101,27 +89,19 @@ func realMain() int {
 	return 0
 }
 
-func run(ctx context.Context, specPath, riseStr string) error {
+func run(specPath, riseStr string) error {
 	rise, err := unit.Parse(riseStr)
 	if err != nil {
 		return fmt.Errorf("-rise: %w", err)
 	}
-	parseStage, _ := obs.StartStage(ctx, "parse", nil)
 	stages, err := loadSpec(specPath)
 	if err != nil {
-		parseStage.End(guard.ClassName(err))
 		return err
 	}
-	parseStage.SetSections(len(stages))
-	parseStage.End("")
-	analyzeStage, _ := obs.StartStage(ctx, "analyze", nil)
 	res, err := timing.AnalyzePath(stages, rise)
 	if err != nil {
-		analyzeStage.End(guard.ClassName(err))
 		return err
 	}
-	analyzeStage.SetSections(len(res.Stages))
-	analyzeStage.End("")
 	fmt.Printf("%-12s %8s %12s %12s %12s\n", "stage", "zeta", "delay[ps]", "rise[ps]", "arrival[ps]")
 	for _, sr := range res.Stages {
 		fmt.Printf("%-12s %8.3f %12.2f %12.2f %12.2f\n",

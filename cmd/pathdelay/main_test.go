@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -62,7 +61,7 @@ inv2 90 6p seg.tree w4 w4=25f,w2=5f
 
 func TestRunTwoStages(t *testing.T) {
 	path := writeSpec(t, goodSpec)
-	out, err := capture(t, func() error { return run(context.Background(), path, "0") })
+	out, err := capture(t, func() error { return run(path, "0") })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +74,10 @@ func TestRunTwoStages(t *testing.T) {
 
 func TestRunWithInputRise(t *testing.T) {
 	path := writeSpec(t, goodSpec)
-	if _, err := capture(t, func() error { return run(context.Background(), path, "100p") }); err != nil {
+	if _, err := capture(t, func() error { return run(path, "100p") }); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), path, "bogus"); err == nil {
+	if err := run(path, "bogus"); err == nil {
 		t.Fatal("bad rise must fail")
 	}
 }
@@ -98,11 +97,11 @@ func TestRunSpecErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		path := writeSpec(t, c.spec)
-		if err := run(context.Background(), path, "0"); err == nil {
+		if err := run(path, "0"); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
-	if err := run(context.Background(), filepath.Join(t.TempDir(), "missing.spec"), "0"); err == nil {
+	if err := run(filepath.Join(t.TempDir(), "missing.spec"), "0"); err == nil {
 		t.Error("missing spec must fail")
 	}
 }
@@ -116,7 +115,7 @@ func TestRunBadTreeFile(t *testing.T) {
 	if err := os.WriteFile(spec, []byte("inv1 120 8p seg.tree w4\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), spec, "0"); err == nil {
+	if err := run(spec, "0"); err == nil {
 		t.Fatal("malformed tree must fail")
 	}
 }

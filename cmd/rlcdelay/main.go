@@ -24,11 +24,11 @@
 // class, degraded-node totals, and p50/p99 per-input latency.
 //
 // Observability: -metrics writes a Prometheus-style text exposition dump
-// ("-" = stdout, a .json path gets the JSON form) at exit; -trace writes
-// the pipeline span tree (parse, limits, sums, sweep, simulate, metrics
-// extraction per input) as JSON; -pprof serves net/http/pprof on the
-// given address while the run lasts. All three are off by default and
-// cost nothing when off.
+// ("-" = stdout, a .json path gets the JSON form) at exit, with the
+// latency histograms of the layers each input runs through (the sums
+// pass, the per-node sweep, the engine's sweep); -pprof serves
+// net/http/pprof on the given address while the run lasts. Both are off
+// by default and cost nothing when off.
 //
 // Nodes whose second-order model degraded to the RC (Elmore) fallback are
 // marked in the `deg` column with the degradation class (zero-inductance,
@@ -41,7 +41,7 @@
 //
 //	rlcdelay [-sim] [-node name] [-vdd v] [-timeout d] [-j n] tree.txt [tree2.txt ...]
 //	rlcdelay -spef [-net name] design.spef
-//	rlcdelay -j 4 -metrics - -trace spans.json nets/*.tree
+//	rlcdelay -j 4 -metrics - nets/*.tree
 package main
 
 import (
@@ -70,7 +70,7 @@ func main() {
 }
 
 // realMain is main with an exit code instead of os.Exit, so deferred
-// cleanup (pprof shutdown, trace/metrics dumps) runs before the process
+// cleanup (pprof shutdown, the metrics dump) runs before the process
 // ends.
 func realMain() int {
 	var (
@@ -83,7 +83,6 @@ func realMain() int {
 		timeout    = flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 		jobs       = flag.Int("j", 1, "process up to this many inputs concurrently (0 = one per CPU)")
 		metricsOut = flag.String("metrics", "", `write the metrics exposition to this file at exit ("-" = stdout, *.json = JSON form)`)
-		traceOut   = flag.String("trace", "", `write the pipeline span tree as JSON to this file at exit ("-" = stdout)`)
 		pprofAddr  = flag.String("pprof", "", `serve net/http/pprof on this address (e.g. "localhost:6060"; empty = no listener)`)
 	)
 	flag.Usage = func() {
@@ -116,22 +115,11 @@ func realMain() int {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	var trace *obs.Trace
-	if *traceOut != "" {
-		trace = obs.NewTrace("rlcdelay")
-		ctx = obs.WithTrace(ctx, trace)
-	}
 	opts := batchOptions{
 		node: *node, vdd: *vdd, sim: *simulate,
 		spef: *useSpef, net: *netName, dot: *dot, jobs: *jobs,
 	}
 	code := runBatch(ctx, flag.Args(), opts, os.Stderr)
-	if trace != nil {
-		trace.Finish()
-		if err := trace.DumpJSON(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "rlcdelay: -trace: %v\n", err)
-		}
-	}
 	if *metricsOut != "" {
 		if err := obs.Default().DumpPrometheus(*metricsOut); err != nil {
 			fmt.Fprintf(os.Stderr, "rlcdelay: -metrics: %v\n", err)
@@ -189,8 +177,6 @@ func runBatch(ctx context.Context, paths []string, opts batchOptions, errw io.Wr
 	outs := make([]bytes.Buffer, len(paths))
 	infos := make([]inputInfo, len(paths))
 	errs := engine.Batch(ctx, len(paths), opts.jobs, func(ctx context.Context, i int) error {
-		st, ctx := obs.StartStage(ctx, "input", nil)
-		st.SetLabel(paths[i])
 		t0 := time.Now()
 		var err error
 		if opts.dot {
@@ -199,14 +185,6 @@ func runBatch(ctx context.Context, paths []string, opts batchOptions, errw io.Wr
 			err = run(ctx, eng, &outs[i], paths[i], opts, &infos[i])
 		}
 		infos[i].dur = time.Since(t0)
-		switch {
-		case err != nil:
-			st.End(guard.ClassName(err))
-		case infos[i].degraded > 0:
-			st.End("degraded")
-		default:
-			st.End("")
-		}
 		return err
 	})
 	failed := 0
@@ -286,20 +264,10 @@ func runDOT(w io.Writer, path string, useSpef bool, netName string) error {
 
 func run(ctx context.Context, eng *engine.Engine, w io.Writer, path string, opts batchOptions, info *inputInfo) error {
 	only, vdd, simulate := opts.node, opts.vdd, opts.sim
-	// Limits stage: resolve the input-bound policy this input is parsed
-	// under. Kept as an explicit pipeline stage so traces show where the
-	// guard layer's bounds come from.
-	limStage, _ := obs.StartStage(ctx, "limits", nil)
-	lim := guard.DefaultLimits.WithDefaults()
-	limStage.End("")
-	parseStage, _ := obs.StartStage(ctx, "parse", nil)
-	tree, err := loadTree(path, opts.spef, opts.net, lim)
+	tree, err := loadTree(path, opts.spef, opts.net, guard.DefaultLimits.WithDefaults())
 	if err != nil {
-		parseStage.End(guard.ClassName(err))
 		return err
 	}
-	parseStage.SetSections(tree.Len())
-	parseStage.End("")
 	if only != "" && tree.Section(only) == nil {
 		return fmt.Errorf("unknown node %q", only)
 	}
@@ -309,17 +277,11 @@ func run(ctx context.Context, eng *engine.Engine, w io.Writer, path string, opts
 	}
 	var simDelay map[string]float64
 	if simulate {
-		simStage, sctx := obs.StartStage(ctx, "simulate", nil)
-		simStage.SetSections(tree.Len())
-		simDelay, err = simulateDelays(sctx, tree, analyses, vdd)
-		if err != nil {
-			simStage.End(guard.ClassName(err))
+		if simDelay, err = simulateDelays(ctx, tree, analyses, vdd); err != nil {
 			return err
 		}
-		simStage.End("")
 	}
 
-	extractStage, _ := obs.StartStage(ctx, "metrics.extraction", nil)
 	fmt.Fprintf(w, "%-12s %9s %12s %11s %11s %10s %11s %11s", "node", "zeta", "omega_n", "delay50", "rise", "overshoot", "settle", "elmore50")
 	if simulate {
 		fmt.Fprintf(w, " %11s %8s", "sim50", "err%")
@@ -358,7 +320,6 @@ func run(ctx context.Context, eng *engine.Engine, w io.Writer, path string, opts
 	for reason, n := range degraded {
 		fmt.Fprintf(w, "note: %d node(s) degraded to the RC (Elmore) model: %s\n", n, reason)
 	}
-	extractStage.End("")
 	return nil
 }
 

@@ -34,7 +34,7 @@ func main() {
 }
 
 // realMain is main with an exit code instead of os.Exit, so deferred
-// cleanup (pprof shutdown, trace/metrics dumps) runs before the process
+// cleanup (pprof shutdown, the metrics dump) runs before the process
 // ends.
 func realMain() int {
 	var (
@@ -51,7 +51,6 @@ func realMain() int {
 		tol        = flag.Float64("tol", 1e-4, "with -adaptive: relative local-truncation-error tolerance")
 		timeout    = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 		metricsOut = flag.String("metrics", "", `write the metrics exposition to this file at exit ("-" = stdout, *.json = JSON form)`)
-		traceOut   = flag.String("trace", "", `write the pipeline span tree as JSON to this file at exit ("-" = stdout)`)
 		pprofAddr  = flag.String("pprof", "", `serve net/http/pprof on this address (e.g. "localhost:6060"; empty = no listener)`)
 	)
 	flag.Usage = func() {
@@ -83,11 +82,6 @@ func realMain() int {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	var trace *obs.Trace
-	if *traceOut != "" {
-		trace = obs.NewTrace("rlcsim")
-		ctx = obs.WithTrace(ctx, trace)
-	}
 	// guard.Run honors -timeout and converts an internal fault into a
 	// classed error instead of a crash.
 	err := guard.Run(ctx, func(ctx context.Context) error {
@@ -100,12 +94,6 @@ func realMain() int {
 			return run(ctx, flag.Arg(0), *stepFlag, *stopFlag, *method, *nodesFlag, *stride)
 		}
 	})
-	if trace != nil {
-		trace.Finish()
-		if derr := trace.DumpJSON(*traceOut); derr != nil {
-			fmt.Fprintf(os.Stderr, "rlcsim: -trace: %v\n", derr)
-		}
-	}
 	if *metricsOut != "" {
 		if derr := obs.Default().DumpPrometheus(*metricsOut); derr != nil {
 			fmt.Fprintf(os.Stderr, "rlcsim: -metrics: %v\n", derr)
@@ -162,14 +150,10 @@ func runAC(ctx context.Context, path string, fstart, fstop float64, points int, 
 }
 
 func runAdaptive(ctx context.Context, path, stopStr string, tol float64, nodeList string) error {
-	parseStage, _ := obs.StartStage(ctx, "parse", nil)
 	deck, err := loadDeck(path)
 	if err != nil {
-		parseStage.End(guard.ClassName(err))
 		return err
 	}
-	parseStage.SetSections(len(deck.Elements))
-	parseStage.End("")
 	stop := 0.0
 	if stopStr != "" {
 		if stop, err = unit.Parse(stopStr); err != nil {
@@ -178,14 +162,10 @@ func runAdaptive(ctx context.Context, path, stopStr string, tol float64, nodeLis
 	} else if deck.Tran != nil {
 		stop = deck.Tran.Stop
 	}
-	simStage, ctx := obs.StartStage(ctx, "simulate", nil)
 	res, stats, err := transim.SimulateAdaptiveCtx(ctx, deck, transim.AdaptiveOptions{Stop: stop, Tol: tol})
 	if err != nil {
-		simStage.End(guard.ClassName(err))
 		return err
 	}
-	simStage.SetSections(len(res.Time))
-	simStage.End("")
 	nodes, _, err := selectNodes(deck, nodeList)
 	if err != nil {
 		return err
@@ -249,14 +229,10 @@ func selectNodes(deck *circuit.Deck, nodeList string) ([]string, []circuit.NodeI
 }
 
 func run(ctx context.Context, path, stepStr, stopStr, method, nodeList string, stride int) error {
-	parseStage, _ := obs.StartStage(ctx, "parse", nil)
 	deck, err := loadDeck(path)
 	if err != nil {
-		parseStage.End(guard.ClassName(err))
 		return err
 	}
-	parseStage.SetSections(len(deck.Elements))
-	parseStage.End("")
 	opt := transim.Options{}
 	switch method {
 	case "trap":
@@ -284,14 +260,10 @@ func run(ctx context.Context, path, stepStr, stopStr, method, nodeList string, s
 		return fmt.Errorf("-stride must be ≥ 1")
 	}
 
-	simStage, ctx := obs.StartStage(ctx, "simulate", nil)
 	res, err := transim.SimulateCtx(ctx, deck, opt)
 	if err != nil {
-		simStage.End(guard.ClassName(err))
 		return err
 	}
-	simStage.SetSections(len(res.Time))
-	simStage.End("")
 
 	var nodes []string
 	if nodeList != "" {

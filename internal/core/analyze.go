@@ -70,23 +70,23 @@ func AnalyzeTreeCtx(ctx context.Context, t *rlctree.Tree) ([]NodeAnalysis, error
 		return nil, err
 	}
 	sums := ElmoreSums(ctx, t)
-	sweep := StartSweep(ctx, n, 1)
+	sweep := StartSweep(ctx)
 	out := make([]NodeAnalysis, n)
 	for i, s := range t.Sections() {
 		if i%analyzeCheckEvery == 0 {
 			if err := guard.Check(ctx); err != nil {
-				EndSweep(&sweep, nil, err)
+				EndSweep(&sweep, nil)
 				return nil, err
 			}
 		}
 		na, err := AnalyzeNodeSums(sums, s)
 		if err != nil {
-			EndSweep(&sweep, nil, err)
+			EndSweep(&sweep, nil)
 			return nil, err
 		}
 		out[i] = na
 	}
-	EndSweep(&sweep, out, nil)
+	EndSweep(&sweep, out)
 	return out, nil
 }
 
@@ -95,32 +95,26 @@ func AnalyzeTreeCtx(ctx context.Context, t *rlctree.Tree) ([]NodeAnalysis, error
 // pass, never per node: the serial sweep and the engine's sharded sweep
 // both call it once per tree.
 func ElmoreSums(ctx context.Context, t *rlctree.Tree) rlctree.Sums {
-	st, _ := obs.StartStage(ctx, "sums", mSumsLatency)
-	st.SetSections(t.Len())
+	st := obs.StartStage(ctx, "sums", mSumsLatency)
 	sums := t.ElmoreSums()
-	st.End("")
+	st.End()
 	return sums
 }
 
-// StartSweep opens the "sweep" stage of a per-node kernel loop over n
-// sections on the given number of workers. Close it with EndSweep.
-func StartSweep(ctx context.Context, n, workers int) obs.Stage {
-	st, _ := obs.StartStage(ctx, "sweep", mKernelLatency)
-	st.SetSections(n)
-	st.SetWorkers(workers)
-	return st
+// StartSweep opens the "sweep" stage of a per-node kernel loop. Close it
+// with EndSweep.
+func StartSweep(ctx context.Context) obs.Stage {
+	return obs.StartStage(ctx, "sweep", mKernelLatency)
 }
 
-// EndSweep closes a sweep stage: with err's guard class when the sweep
-// failed, otherwise with "degraded" when any node of out fell back to
-// the RC model. The degraded tally is O(n), so it runs once per sweep
-// and only while instrumentation is on.
-func EndSweep(st *obs.Stage, out []NodeAnalysis, err error) {
-	outcome := guard.ClassName(err)
-	if err == nil && obs.On() && recordDegraded(out) > 0 {
-		outcome = "degraded"
+// EndSweep closes a sweep stage. out is the completed sweep's result, nil
+// when the sweep failed; its degraded nodes are counted once per sweep,
+// and only while instrumentation is on, since the tally is O(n).
+func EndSweep(st *obs.Stage, out []NodeAnalysis) {
+	if obs.On() {
+		recordDegraded(out)
 	}
-	st.End(outcome)
+	st.End()
 }
 
 // AnalyzeNodeSums computes the characterization for a single section from

@@ -42,10 +42,9 @@ func countDegraded(out []NodeAnalysis) (zeroL, nonPhys, degen int) {
 }
 
 // recordDegraded bumps the degraded-to-RC counters for one completed
-// sweep and returns the total number of degraded nodes. EndSweep calls it
-// once per analysis, so the per-node tallying stays out of the hot
-// kernel.
-func recordDegraded(out []NodeAnalysis) int {
+// sweep. EndSweep calls it once per analysis, so the per-node tallying
+// stays out of the hot kernel.
+func recordDegraded(out []NodeAnalysis) {
 	zeroL, nonPhys, degen := countDegraded(out)
 	if zeroL > 0 {
 		mDegradedZeroL.Add(uint64(zeroL))
@@ -56,5 +55,4 @@ func recordDegraded(out []NodeAnalysis) int {
 	if degen > 0 {
 		mDegradedDegenerate.Add(uint64(degen))
 	}
-	return zeroL + nonPhys + degen
 }

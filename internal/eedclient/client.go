@@ -74,9 +74,6 @@ var ErrBreakerOpen = errors.New("eedclient: circuit breaker open")
 type Options struct {
 	// BaseURL roots every request, e.g. "http://127.0.0.1:8417".
 	BaseURL string
-	// HTTPClient overrides the transport (nil = http.DefaultClient is NOT
-	// used; a fresh client is built so tests never share a Transport).
-	HTTPClient *http.Client
 	// RequestTimeout bounds each attempt, not the whole retry loop — the
 	// caller's ctx bounds that.
 	RequestTimeout time.Duration
@@ -193,13 +190,12 @@ func New(opts Options) (*Client, error) {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	httpc := opts.HTTPClient
-	if httpc == nil {
-		httpc = &http.Client{}
-	}
 	c := &Client{
-		base:  base,
-		httpc: httpc,
+		base: base,
+		// A connection pool of its own: clients sharing the process-wide
+		// http.DefaultTransport would share its two idle connections per
+		// host, so concurrent callers would keep dialing.
+		httpc: &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()},
 		opts:  opts,
 		rng:   rand.New(rand.NewSource(seed)),
 	}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -310,5 +311,45 @@ func TestEditRetryProtocolAgainstRealServer(t *testing.T) {
 	// edited section shows exactly one re-key, and the old key is gone.
 	if _, err := c.Delay(ctx, DelayRequest{Net: resp.Net, Node: "s7"}); err != nil {
 		t.Fatalf("querying post-edit net: %v", err)
+	}
+}
+
+// TestConcurrentClientsReuseTheirConnections: eight clients call at once,
+// round after round, each one call at a time. Each keeps reusing its own
+// connection instead of dialing anew whenever a shared pool overflows.
+func TestConcurrentClientsReuseTheirConnections(t *testing.T) {
+	var dials atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"status":"ok"}`))
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	const clients, rounds = 8, 20
+	cs := make([]*Client, clients)
+	for i := range cs {
+		cs[i] = newClient(t, ts.URL, nil)
+	}
+	for r := 0; r < rounds; r++ {
+		errs := make([]error, clients)
+		var wg sync.WaitGroup
+		for i, c := range cs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = c.Health(context.Background())
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := dials.Load(); n > 2*clients {
+		t.Errorf("%d clients dialed %d connections over %d rounds, want at most %d", clients, n, rounds, 2*clients)
 	}
 }

@@ -20,8 +20,8 @@ import (
 // correlation proof: an edit whose first attempt dies on an injected
 // queue-timeout (504 + Retry-After) is retried by the client under ONE
 // request ID, and the server's /v1/debug/requests view shows both
-// attempts — attempt 1 carrying the 504 wide event (with a captured span
-// tree in /v1/debug/slow), attempt 2 the success.
+// attempts — attempt 1 carrying the 504 wide event (also captured in
+// /v1/debug/slow), attempt 2 the success.
 func TestRetriedEditIsCorrelatedInFlightRecorder(t *testing.T) {
 	fr := obs.NewFlightRecorder(64, 8, time.Hour)
 	srv := eedsrv.New(eedsrv.Options{
@@ -78,16 +78,13 @@ func TestRetriedEditIsCorrelatedInFlightRecorder(t *testing.T) {
 		t.Error("the 504 attempt was not captured")
 	}
 
-	// The captured 504 must carry its span tree in /v1/debug/slow.
+	// The captured 504 must be served by /v1/debug/slow.
 	var slow eedsrv.DebugSlowResponse
 	getJSON(t, ts.URL+"/v1/debug/slow", &slow)
 	found := false
-	for _, cp := range slow.Captures {
-		if cp.Event.RequestID == rid && cp.Event.Status == http.StatusGatewayTimeout {
+	for _, ev := range slow.Captures {
+		if ev.RequestID == rid && ev.Status == http.StatusGatewayTimeout && ev.Attempt == 1 {
 			found = true
-			if cp.Spans == nil {
-				t.Error("captured 504 carries no span tree")
-			}
 		}
 	}
 	if !found {

@@ -51,9 +51,8 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, DebugRequestsResponse{Events: events})
 }
 
-// handleDebugSlow serves GET /v1/debug/slow: the bounded capture buffer
-// of slow and failed requests, each with its span tree when the request
-// was traced, newest first.
+// handleDebugSlow serves GET /v1/debug/slow: the wide events of the
+// bounded capture buffer of slow and failed requests, newest first.
 func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
 	endpointCounter("/v1/debug/slow").Inc()
 	if r.Method != http.MethodGet {
@@ -64,7 +63,7 @@ func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
 	}
 	caps := s.flight.Captures()
 	if caps == nil {
-		caps = []obs.Capture{}
+		caps = []obs.WideEvent{}
 	}
 	writeJSON(w, http.StatusOK, DebugSlowResponse{Captures: caps})
 }

@@ -101,8 +101,8 @@ func TestEveryResponsePathEmitsOneWideEvent(t *testing.T) {
 			if ev.Captured != tc.captured {
 				t.Errorf("event captured = %v, want %v", ev.Captured, tc.captured)
 			}
-			if caps := fr.Captures(); tc.captured && len(caps) != 1 {
-				t.Errorf("capture buffer holds %d entries, want 1", len(caps))
+			if caps := fr.Captures(); tc.captured && (len(caps) != 1 || caps[0].Seq != ev.Seq) {
+				t.Errorf("capture buffer holds %+v, want the request's one event", caps)
 			} else if !tc.captured && len(caps) != 0 {
 				t.Errorf("capture buffer holds %d entries, want 0", len(caps))
 			}
@@ -115,10 +115,8 @@ func TestEveryResponsePathEmitsOneWideEvent(t *testing.T) {
 
 // TestSuccessEventAnnotations pins what a healthy event of each route
 // carries: exactly its top-level stages, in order — never a nested layer
-// (sums, sweep, incr.edit_analyze) — summing to no more than the event's
-// total, and for routes that resolve a net the fingerprint and registry
-// outcome. It runs with and without span tracing, since nested stages
-// open spans only when a trace is attached.
+// (sums, sweep) — summing to no more than the event's total, and for
+// routes that resolve a net the fingerprint and registry outcome.
 func TestSuccessEventAnnotations(t *testing.T) {
 	edit := EditRequest{Tree: balanced7, Edits: []EditSpec{{Node: "s2", Elem: "C", Value: 60e-15}}, Node: "s7"}
 	steps := []struct {
@@ -136,35 +134,33 @@ func TestSuccessEventAnnotations(t *testing.T) {
 		{"edit", "/v1/edit", edit, "resolve,edit", "hit", engine.CacheStats{Hits: 1, Misses: 1}},
 		{"batch", "/v1/batch", BatchRequest{Items: []BatchItem{{Tree: balanced7, Node: "s7"}, {Tree: balanced7}}}, "batch", "", engine.CacheStats{Hits: 1, Misses: 2}},
 	}
-	for _, debug := range []bool{false, true} {
-		eng := engine.New(engine.Options{Workers: 2})
-		s, fr := newFlightServer(t, Options{Engine: eng, DebugRequests: debug})
-		for _, st := range steps {
-			if code, raw := do(t, s, "POST", st.path, st.body); code != 200 {
-				t.Fatalf("debug=%v %s: status %d: %s", debug, st.name, code, raw)
-			}
-			ev := fr.Snapshot(obs.Filter{})[0]
-			var names []string
-			var sum int64
-			for _, sd := range ev.Stages() {
-				names = append(names, sd.Name)
-				sum += sd.NS
-			}
-			if got := strings.Join(names, ","); got != st.stages {
-				t.Errorf("debug=%v %s: stages = %q, want %q", debug, st.name, got, st.stages)
-			}
-			if sum > ev.TotalNS {
-				t.Errorf("debug=%v %s: stages sum to %d ns, past the event's %d ns total", debug, st.name, sum, ev.TotalNS)
-			}
-			if ev.Cache != st.cache {
-				t.Errorf("debug=%v %s: cache = %q, want %q", debug, st.name, ev.Cache, st.cache)
-			}
-			if (ev.Net == "") != (st.cache == "") {
-				t.Errorf("debug=%v %s: net = %q, want a fingerprint exactly when the route resolves one", debug, st.name, ev.Net)
-			}
-			if got := eng.CacheStats(); got != st.want {
-				t.Errorf("debug=%v %s: engine CacheStats = %+v, want %+v", debug, st.name, got, st.want)
-			}
+	eng := engine.New(engine.Options{Workers: 2})
+	s, fr := newFlightServer(t, Options{Engine: eng})
+	for _, st := range steps {
+		if code, raw := do(t, s, "POST", st.path, st.body); code != 200 {
+			t.Fatalf("%s: status %d: %s", st.name, code, raw)
+		}
+		ev := fr.Snapshot(obs.Filter{})[0]
+		var names []string
+		var sum int64
+		for _, sd := range ev.Stages() {
+			names = append(names, sd.Name)
+			sum += sd.NS
+		}
+		if got := strings.Join(names, ","); got != st.stages {
+			t.Errorf("%s: stages = %q, want %q", st.name, got, st.stages)
+		}
+		if sum > ev.TotalNS {
+			t.Errorf("%s: stages sum to %d ns, past the event's %d ns total", st.name, sum, ev.TotalNS)
+		}
+		if ev.Cache != st.cache {
+			t.Errorf("%s: cache = %q, want %q", st.name, ev.Cache, st.cache)
+		}
+		if (ev.Net == "") != (st.cache == "") {
+			t.Errorf("%s: net = %q, want a fingerprint exactly when the route resolves one", st.name, ev.Net)
+		}
+		if got := eng.CacheStats(); got != st.want {
+			t.Errorf("%s: engine CacheStats = %+v, want %+v", st.name, got, st.want)
 		}
 	}
 }
@@ -218,8 +214,8 @@ func TestDebugEndpointsDisabledByDefault(t *testing.T) {
 }
 
 // TestDebugRequestsFiltersAndSlowCaptures drives the live endpoints:
-// filter combinators on /v1/debug/requests, and the span tree riding a
-// failed request into /v1/debug/slow.
+// filter combinators on /v1/debug/requests, and a failed request's wide
+// event, with its stages, in /v1/debug/slow.
 func TestDebugRequestsFiltersAndSlowCaptures(t *testing.T) {
 	s, _ := newFlightServer(t, Options{DebugRequests: true})
 
@@ -230,7 +226,7 @@ func TestDebugRequestsFiltersAndSlowCaptures(t *testing.T) {
 			t.Fatal("seed delay failed")
 		}
 	}
-	req := httptest.NewRequest("POST", "/v1/analyze", strings.NewReader(`{"tree": "broken`))
+	req := httptest.NewRequest("POST", "/v1/analyze", strings.NewReader(`{"tree": "broken"}`))
 	req.Header.Set(HeaderRequestID, "debug-test-bad")
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
@@ -272,8 +268,8 @@ func TestDebugRequestsFiltersAndSlowCaptures(t *testing.T) {
 		t.Errorf("POST /v1/debug/requests = %d, want 405", code)
 	}
 
-	// The failed request must sit in the capture buffer with its span
-	// tree (tracing is armed because DebugRequests is on).
+	// The failed request must sit in the capture buffer with the stage it
+	// failed in.
 	code, raw := do(t, s, "GET", "/v1/debug/slow", nil)
 	if code != 200 {
 		t.Fatalf("GET /v1/debug/slow = %d: %s", code, raw)
@@ -283,14 +279,11 @@ func TestDebugRequestsFiltersAndSlowCaptures(t *testing.T) {
 		t.Fatalf("capture buffer holds %d entries, want 1", len(slow.Captures))
 	}
 	cap := slow.Captures[0]
-	if cap.Event.RequestID != "debug-test-bad" || !cap.Event.Captured {
-		t.Errorf("capture event = %+v, want the failed request marked captured", cap.Event)
+	if cap.RequestID != "debug-test-bad" || cap.Route != "/v1/analyze" || !cap.Captured {
+		t.Errorf("capture = %+v, want the failed /v1/analyze request marked captured", cap)
 	}
-	if cap.Spans == nil {
-		t.Fatal("capture carries no span tree despite DebugRequests tracing")
-	}
-	if cap.Spans.Name != "/v1/analyze" {
-		t.Errorf("span tree root = %q, want /v1/analyze", cap.Spans.Name)
+	if st := cap.Stages(); len(st) != 1 || st[0].Name != "resolve" {
+		t.Errorf("capture stages = %+v, want the resolve stage it failed in", st)
 	}
 }
 

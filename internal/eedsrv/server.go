@@ -83,9 +83,8 @@ type Options struct {
 	// process-wide obs.DefaultFlight() recorder.
 	Flight *obs.FlightRecorder
 	// DebugRequests mounts the live flight-recorder endpoints
-	// (/v1/debug/requests, /v1/debug/slow) and arms per-request span
-	// tracing so slow/error captures carry a span tree. Off by default:
-	// without it the endpoints 404 and requests pay no tracing cost.
+	// (/v1/debug/requests, /v1/debug/slow). Off by default: without it
+	// the endpoints 404. Requests are recorded either way.
 	DebugRequests bool
 	// Logger, when set, gets one structured record per analysis request
 	// (request ID, route, status, class, timings) plus drain lifecycle
@@ -103,7 +102,6 @@ type Server struct {
 	retrySecs int // Retry-After value for pre-execution rejections
 
 	flight *obs.FlightRecorder
-	logger *slog.Logger
 	clock  func() time.Time // swappable for deterministic contract goldens
 	start  time.Time
 	bootID string // per-process nonce prefixing generated request IDs
@@ -196,7 +194,6 @@ func New(opts Options) *Server {
 		mux:       http.NewServeMux(),
 		retrySecs: int((opts.RetryAfter + time.Second - 1) / time.Second),
 		flight:    opts.Flight,
-		logger:    opts.Logger,
 		clock:     time.Now,
 		bootID:    newBootID(),
 	}
@@ -347,47 +344,6 @@ func (s *Server) requestID(r *http.Request) (string, int) {
 	return id, attempt
 }
 
-// logRequest emits the request's structured log line: info for
-// successes, warn for client-classed failures, error for 5xx.
-func (s *Server) logRequest(ev *obs.WideEvent) {
-	if s.logger == nil {
-		return
-	}
-	lvl := slog.LevelInfo
-	switch {
-	case ev.Status >= 500:
-		lvl = slog.LevelError
-	case ev.Status >= 400:
-		lvl = slog.LevelWarn
-	}
-	attrs := []slog.Attr{
-		slog.String("request_id", ev.RequestID),
-		slog.String("route", ev.Route),
-		slog.Int("status", ev.Status),
-		slog.Int64("total_ns", ev.TotalNS),
-		slog.Int64("queue_ns", ev.QueueNS),
-	}
-	if ev.Attempt > 0 {
-		attrs = append(attrs, slog.Int("attempt", ev.Attempt))
-	}
-	if ev.Net != "" {
-		attrs = append(attrs, slog.String("net", ev.Net))
-	}
-	if ev.Cache != "" {
-		attrs = append(attrs, slog.String("cache", ev.Cache))
-	}
-	if ev.Class != "" {
-		attrs = append(attrs, slog.String("class", ev.Class))
-	}
-	if ev.Degraded != "" {
-		attrs = append(attrs, slog.String("degraded", ev.Degraded))
-	}
-	if ev.Err != "" {
-		attrs = append(attrs, slog.String("err", ev.Err))
-	}
-	s.logger.LogAttrs(context.Background(), lvl, "request", attrs...)
-}
-
 // analysis wraps an analysis handler with the service spine: POST-only,
 // drain rejection, the connection-aware worker-pool bound, the request
 // timeout, body-size cap, panic recovery, per-endpoint metrics, and the
@@ -400,8 +356,8 @@ func (s *Server) logRequest(ev *obs.WideEvent) {
 // Every exit path — success, guard-mapped error, panic-recovered 500,
 // drain 503, queue-timeout 504, even a connection abort — funnels
 // through the one deferred Record below, so each request emits exactly
-// one wide event, correlated by X-Eed-Request-Id with the client's
-// retries.
+// one wide event and one log record, correlated by X-Eed-Request-Id with
+// the client's retries.
 func (s *Server) analysis(endpoint string, h func(ctx context.Context, w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
 	requests := endpointRequests(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -413,14 +369,6 @@ func (s *Server) analysis(endpoint string, h func(ctx context.Context, w http.Re
 		rid, attempt := s.requestID(r)
 		w.Header().Set(HeaderRequestID, rid)
 		ev := obs.WideEvent{StartNS: t0.UnixNano(), RequestID: rid, Attempt: attempt, Route: endpoint}
-		var tr *obs.Trace
-		if s.opts.DebugRequests {
-			// Span tracing is armed only with the debug endpoints: the
-			// capture buffer serves the tree, and dormant requests skip
-			// the per-request Trace allocation entirely.
-			tr = obs.NewTrace(endpoint)
-			tr.Root().SetLabel(rid)
-		}
 		ew := &eventWriter{ResponseWriter: w, ev: &ev}
 		ran := false // the request held a worker slot
 		defer func() {
@@ -448,11 +396,7 @@ func (s *Server) analysis(endpoint string, h func(ctx context.Context, w http.Re
 			if ran {
 				mLatency.Observe(ev.TotalNS)
 			}
-			if tr != nil {
-				tr.Finish()
-			}
-			s.flight.Record(&ev, tr)
-			s.logRequest(&ev)
+			s.flight.Record(&ev, s.opts.Logger)
 			if p == http.ErrAbortHandler {
 				panic(p)
 			}
@@ -542,9 +486,6 @@ func (s *Server) analysis(endpoint string, h func(ctx context.Context, w http.Re
 			}
 		}
 		ctx = obs.WithEvent(ctx, &ev)
-		if tr != nil {
-			ctx = obs.WithTrace(ctx, tr)
-		}
 		r.Body = http.MaxBytesReader(ew, r.Body, s.opts.MaxBodyBytes)
 		h(ctx, ew, r)
 	}
@@ -553,14 +494,12 @@ func (s *Server) analysis(endpoint string, h func(ctx context.Context, w http.Re
 // resolveNet materializes the net a request names: an inline tree is
 // parsed under the server's limits and registered (warm for the next
 // call), a fingerprint is looked up among the resident nets. Exactly one
-// of the two must be given. It runs as the "resolve" stage, whose
-// outcome is the registry's "hit" or "miss" ("parse" for a malformed
-// request); the request's wide event (carried by ctx, if any) is
-// annotated with the resolved fingerprint and the same registry outcome.
+// of the two must be given. It runs as the "resolve" stage; the request's
+// wide event (carried by ctx, if any) is annotated with the resolved
+// fingerprint and the registry's "hit" or "miss".
 func (s *Server) resolveNet(ctx context.Context, treeText, netHex string) (*engine.Resident, error) {
-	st, _ := obs.StartStage(ctx, "resolve", nil)
-	outcome := "parse"
-	defer func() { st.End(outcome) }()
+	st := obs.StartStage(ctx, "resolve", nil)
+	defer st.End()
 	ev := obs.EventFrom(ctx)
 	switch {
 	case treeText != "" && netHex != "":
@@ -572,12 +511,10 @@ func (s *Server) resolveNet(ctx context.Context, treeText, netHex string) (*engi
 		}
 		res, hit, err := s.reg.PutInfo(tree)
 		if err != nil {
-			outcome = guard.ClassName(err)
 			return nil, err
 		}
 		ev.SetNet(fingerprintHex(tree.Fingerprint()))
-		outcome = registryOutcome(hit)
-		ev.SetCache(outcome)
+		ev.SetCache(registryOutcome(hit))
 		return res, nil
 	case netHex != "":
 		fp, err := parseFingerprint(netHex)
@@ -586,8 +523,7 @@ func (s *Server) resolveNet(ctx context.Context, treeText, netHex string) (*engi
 		}
 		ev.SetNet(netHex)
 		res, ok := s.reg.Lookup(fp)
-		outcome = registryOutcome(ok)
-		ev.SetCache(outcome)
+		ev.SetCache(registryOutcome(ok))
 		if !ok {
 			return nil, errNotFound("net %s is not resident (never registered, evicted, or re-keyed by edits)", netHex)
 		}
@@ -709,9 +645,9 @@ func (s *Server) handleDelay(ctx context.Context, w http.ResponseWriter, r *http
 		if sink == nil {
 			return errNotFound("net has no node %q", req.Node)
 		}
-		st, _ := obs.StartStage(ctx, "analyze", nil)
+		st := obs.StartStage(ctx, "analyze", nil)
 		na, err := sess.AnalyzeAt(sink)
-		st.End(guard.ClassName(err))
+		st.End()
 		if err != nil {
 			return err
 		}
@@ -739,10 +675,9 @@ func (s *Server) handleAnalyze(ctx context.Context, w http.ResponseWriter, r *ht
 	}
 	var resp AnalyzeResponse
 	err = res.Do(func(sess *engine.Session, tr *rlctree.Tree) error {
-		st, _ := obs.StartStage(ctx, "analyze", nil)
-		st.SetSections(tr.Len())
+		st := obs.StartStage(ctx, "analyze", nil)
 		analyses, err := sess.Analyze(ctx)
-		st.End(guard.ClassName(err))
+		st.End()
 		if err != nil {
 			return err
 		}
@@ -815,10 +750,9 @@ func (s *Server) handleEdit(ctx context.Context, w http.ResponseWriter, r *http.
 		if sink == nil {
 			return errNotFound("net has no node %q", req.Node)
 		}
-		st, _ := obs.StartStage(ctx, "edit", nil)
-		st.SetSections(len(edits))
+		st := obs.StartStage(ctx, "edit", nil)
 		na, err := sess.EditAndAnalyze(ctx, edits, sink)
-		st.End(guard.ClassName(err))
+		st.End()
 		if err != nil {
 			return err
 		}
@@ -849,14 +783,11 @@ func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, r *http
 		return
 	}
 	results := make([]BatchResult, len(req.Items))
-	// Items run concurrently: detach the request's wide event so per-item
-	// annotations cannot race on it. The batch stage still times the
-	// fan-out as a whole; it starts from a context carrying the event
-	// alone, so the items' spans stay directly under the request's root.
-	ev := obs.EventFrom(ctx)
-	st, _ := obs.StartStage(obs.WithEvent(context.Background(), ev), "batch", nil)
-	bctx := obs.DetachEvent(ctx)
-	errs := engine.Batch(bctx, len(req.Items), req.Workers, func(ctx context.Context, i int) error {
+	// The batch stage times the fan-out as a whole. Items run
+	// concurrently: they detach the request's wide event so per-item
+	// annotations cannot race on it.
+	st := obs.StartStage(ctx, "batch", nil)
+	errs := engine.Batch(obs.DetachEvent(ctx), len(req.Items), req.Workers, func(ctx context.Context, i int) error {
 		item := req.Items[i]
 		res, err := s.resolveNet(ctx, item.Tree, item.Net)
 		if err != nil {
@@ -871,7 +802,11 @@ func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, r *http
 				}
 				nodes := make([]NodeResult, 0, len(analyses))
 				for _, na := range analyses {
-					nodes = append(nodes, NodeResultOf(na))
+					nr := NodeResultOf(na)
+					if err := checkRepresentable(nr); err != nil {
+						return err
+					}
+					nodes = append(nodes, nr)
 				}
 				results[i].Nodes = nodes
 				return nil
@@ -885,11 +820,14 @@ func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, r *http
 				return err
 			}
 			nr := NodeResultOf(na)
+			if err := checkRepresentable(nr); err != nil {
+				return err
+			}
 			results[i].Result = &nr
 			return nil
 		})
 	})
-	st.End("")
+	st.End()
 	resp := BatchResponse{Results: results}
 	for i, err := range errs {
 		if err != nil {
@@ -899,6 +837,7 @@ func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, r *http
 		}
 	}
 	if resp.Failed > 0 {
+		ev := obs.EventFrom(ctx)
 		ev.SetClass("partial")
 		ev.SetErr(fmt.Errorf("%d of %d batch items failed", resp.Failed, len(req.Items)))
 	}

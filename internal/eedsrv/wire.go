@@ -172,11 +172,11 @@ type DebugRequestsResponse struct {
 	Events []obs.WideEvent `json:"events"`
 }
 
-// DebugSlowResponse is the answer to GET /v1/debug/slow: the bounded
-// capture buffer of slow/error requests, each with its span tree when
-// the request was traced. Newest first.
+// DebugSlowResponse is the answer to GET /v1/debug/slow: the wide events
+// of the bounded capture buffer of slow and failed requests, newest
+// first.
 type DebugSlowResponse struct {
-	Captures []obs.Capture `json:"captures"`
+	Captures []obs.WideEvent `json:"captures"`
 }
 
 // FaultsRequest is the body of POST /v1/faults (test-only admin): arm the
@@ -248,6 +248,22 @@ func NodeResultOf(na core.NodeAnalysis) NodeResult {
 		nr.Settle = &s
 	}
 	return nr
+}
+
+// checkRepresentable returns a numeric-class error when a plain float
+// field of nr is ±Inf or NaN, which JSON cannot carry. A batch item
+// checks its results with it, so that item fails alone instead of the
+// whole response failing to encode.
+func checkRepresentable(nr NodeResult) error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"delay50", nr.Delay50}, {"rise", nr.Rise}, {"overshoot", nr.Overshoot}, {"elmore50", nr.Elmore50}, {"elmore_rise", nr.ElmoreRise}} {
+		if math.IsInf(f.v, 0) || math.IsNaN(f.v) {
+			return guard.Newf(guard.ErrNumeric, "eedsrv", "node %q: %s = %v is not representable in JSON", nr.Node, f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // APIError is the wire form of a failure; Class is a guard class name or

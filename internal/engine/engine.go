@@ -103,13 +103,13 @@ func (e *Engine) AnalyzeTree(ctx context.Context, t *rlctree.Tree) ([]core.NodeA
 		out, err := core.AnalyzeTreeCtx(ctx, t)
 		if err == nil {
 			mSweepWorkers.Observe(1)
-			lat.End("")
+			lat.End()
 		}
 		return out, err
 	}
 
 	sums := core.ElmoreSums(ctx, t)
-	sweep := core.StartSweep(ctx, n, workers)
+	sweep := core.StartSweep(ctx)
 	secs := t.Sections()
 	out := make([]core.NodeAnalysis, n)
 
@@ -162,12 +162,12 @@ func (e *Engine) AnalyzeTree(ctx context.Context, t *rlctree.Tree) ([]core.NodeA
 		}
 	}
 	if first >= 0 {
-		core.EndSweep(&sweep, nil, errs[first])
+		core.EndSweep(&sweep, nil)
 		return nil, errs[first]
 	}
-	core.EndSweep(&sweep, out, nil)
+	core.EndSweep(&sweep, out)
 	mSweepWorkers.Observe(int64(workers))
-	lat.End("")
+	lat.End()
 	return out, nil
 }
 

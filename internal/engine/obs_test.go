@@ -133,19 +133,20 @@ func TestSweepAllocsIndependentOfObs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep := func() {
+	sweepUnder := func(ctx context.Context) {
 		if _, err := eng.AnalyzeTree(ctx, tree); err != nil {
 			t.Fatal(err)
 		}
 	}
+	sweep := func() { sweepUnder(ctx) }
 	fr := obs.NewFlightRecorder(16, 4, time.Hour)
 	ev := &obs.WideEvent{}
 	evCtx := obs.WithEvent(ctx, ev)
 	recorded := func() {
 		*ev = obs.WideEvent{Route: "pipeline.net", Net: "w"}
-		st, _ := obs.StartStage(evCtx, "analyze", nil)
-		sweep()
-		ev.TotalNS = int64(st.End(""))
+		st := obs.StartStage(evCtx, "analyze", nil)
+		sweepUnder(evCtx)
+		ev.TotalNS = int64(st.End())
 		fr.Record(ev, nil)
 	}
 

@@ -108,11 +108,6 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// Per-net work keeps the run's cancellation but not its trace: a
-	// traced run holds the caller's spans only, not two per net, and the
-	// per-net layer times stay in eed_pipe_analyze_latency_ns and the
-	// core sums/kernel histograms.
-	netCtx := obs.WithoutTrace(ctx)
 
 	jobs := make(chan pipeJob, depth)
 	results := make(chan NetResult, depth)
@@ -140,7 +135,7 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 				cancel()
 				return
 			}
-			lat.End("")
+			lat.End()
 			mPipeNetsParsed.Inc()
 			if track {
 				mPipeParseQueue.Inc()
@@ -174,18 +169,16 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 			// One wide event per worker, reset for each net: failed nets
 			// land in the flight recorder's capture buffer (Status 0 +
 			// Class counts as interesting), healthy ones ride the ring for
-			// /v1/debug style dumps. Its context carries the event alone,
-			// so the net's "analyze" stage writes the event and its
-			// histogram but no span.
-			evCtx := context.Background()
+			// /v1/debug style dumps.
+			wctx := ctx
 			if track {
-				evCtx = obs.WithEvent(evCtx, &obs.WideEvent{})
+				wctx = obs.WithEvent(ctx, &obs.WideEvent{})
 			}
 			for job := range jobs {
 				if track {
 					mPipeParseQueue.Dec()
 				}
-				res := analyzeOne(netCtx, evCtx, job)
+				res := analyzeOne(wctx, job)
 				if track {
 					mPipeResultQueue.Inc()
 				}
@@ -308,18 +301,18 @@ func AnalyzeNet(ctx context.Context, net *spef.Net, units spef.Units) (timing.Ne
 }
 
 // analyzeOne runs one net through AnalyzeNet under ctx, recycling the net
-// on every path (the net must not be touched after this call). The net's
-// "analyze" stage starts from evCtx; the wide event evCtx carries, if
-// any, is reset for this net, stamped by the stage, and recorded in the
-// flight recorder with the stage's duration as its total.
-func analyzeOne(ctx, evCtx context.Context, job pipeJob) NetResult {
+// on every path (the net must not be touched after this call). The wide
+// event ctx carries, if any, is reset for this net, stamped by the net's
+// "analyze" stage (the layers nested in it stay out of the event), and
+// recorded in the flight recorder with the stage's duration as its total.
+func analyzeOne(ctx context.Context, job pipeJob) NetResult {
 	res := NetResult{Index: job.index, Net: job.net.Name}
-	ev := obs.EventFrom(evCtx)
+	ev := obs.EventFrom(ctx)
 	if ev != nil {
 		// job.net is recycled below; res captured the name.
 		*ev = obs.WideEvent{Route: "pipeline.net", Net: res.Net}
 	}
-	st, _ := obs.StartStage(evCtx, "analyze", mPipeAnalyzeLatency)
+	st := obs.StartStage(ctx, "analyze", mPipeAnalyzeLatency)
 	err := guard.Run(ctx, func(ctx context.Context) error {
 		var err error
 		res.Summary, err = AnalyzeNet(ctx, job.net, job.units)
@@ -327,7 +320,7 @@ func analyzeOne(ctx, evCtx context.Context, job pipeJob) NetResult {
 	})
 	spef.RecycleNet(job.net)
 	res.Err = err
-	d := st.End(guard.ClassName(err))
+	d := st.End()
 	if ev != nil {
 		ev.TotalNS = int64(d)
 		ev.SetClass(guard.ClassName(err))

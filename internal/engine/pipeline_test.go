@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"eedtree/internal/core"
 	"eedtree/internal/guard"
@@ -260,30 +261,25 @@ func TestPipelineEmptyInput(t *testing.T) {
 	}
 }
 
-// TestPipelineTraceSpansIndependentOfNetCount: per-net work runs without
-// the caller's trace, so a traced run holds the same spans over 10 nets
-// as over 100 and tracing keeps the pipeline's memory flat.
-func TestPipelineTraceSpansIndependentOfNetCount(t *testing.T) {
-	var count func(n obs.SpanNode) int
-	count = func(n obs.SpanNode) int {
-		c := 1
-		for _, ch := range n.Children {
-			c += count(ch)
-		}
-		return c
+// TestPipelineNetEventHoldsOneStage: each net's wide event carries one
+// "analyze" stage equal to its total, although the net's sums and sweep
+// run under the event's context: nested layers stay out of the event.
+func TestPipelineNetEventHoldsOneStage(t *testing.T) {
+	const nets = 40
+	fr := obs.NewFlightRecorder(2*nets, 4, time.Hour)
+	defer obs.SetDefaultFlight(obs.DefaultFlight())
+	obs.SetDefaultFlight(fr)
+	_, stats, err := RunPipeline(context.Background(), strings.NewReader(genSPEF(nets, 0)), PipelineConfig{Workers: 2})
+	if err != nil || stats.Nets != nets {
+		t.Fatalf("RunPipeline over %d nets: %d analyzed, %v", nets, stats.Nets, err)
 	}
-	spans := func(nets int) int {
-		tr := obs.NewTrace("run")
-		st, ctx := obs.StartStage(obs.WithTrace(context.Background(), tr), "pipeline", nil)
-		_, stats, err := RunPipeline(ctx, strings.NewReader(genSPEF(nets, 0)), PipelineConfig{Workers: 2})
-		st.End("")
-		tr.Finish()
-		if err != nil || stats.Nets != nets {
-			t.Fatalf("RunPipeline over %d nets: %d analyzed, %v", nets, stats.Nets, err)
-		}
-		return count(tr.Tree())
+	events := fr.Snapshot(obs.Filter{Route: "pipeline.net"})
+	if len(events) != nets {
+		t.Fatalf("flight recorder holds %d net events, want %d", len(events), nets)
 	}
-	if small, large := spans(10), spans(100); small != large {
-		t.Fatalf("trace holds %d spans over 10 nets and %d over 100", small, large)
+	for _, ev := range events {
+		if st := ev.Stages(); len(st) != 1 || st[0].Name != "analyze" || st[0].NS != ev.TotalNS {
+			t.Fatalf("net %s: stages %+v, want one analyze stage of the event's %d ns", ev.Net, st, ev.TotalNS)
+		}
 	}
 }

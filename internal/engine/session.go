@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"slices"
@@ -191,7 +190,7 @@ func (s *Session) setElem(sec *rlctree.Section, elem rlctree.Elem, v float64) er
 func (s *Session) foldStructural(lat obs.Stage, counter *obs.Counter, stateErr error) {
 	if s.folded(stateErr) {
 		counter.Inc()
-		lat.End("")
+		lat.End()
 	}
 }
 
@@ -306,7 +305,7 @@ func (s *Session) SumsAt(sink *rlctree.Section) (sr, sl, ctot float64, err error
 	sr, sl, ctot, err = s.st.SumsAt(sink.Index())
 	if err == nil {
 		mIncrQueries.Inc()
-		lat.End("")
+		lat.End()
 	}
 	return sr, sl, ctot, err
 }
@@ -349,15 +348,11 @@ type SectionEdit struct {
 }
 
 // EditAndAnalyze applies a batch of element edits and returns the analysis
-// at sink — the one-call form of the edit→query cycle, traced as an
-// "incr.edit_analyze" span. Edits are applied in order, each to the tree
-// and the incremental state; on an invalid edit the earlier edits of the
-// batch remain applied and the error is returned.
-func (s *Session) EditAndAnalyze(ctx context.Context, edits []SectionEdit, sink *rlctree.Section) (na core.NodeAnalysis, err error) {
-	st, _ := obs.StartStage(ctx, "incr.edit_analyze", nil)
-	st.SetSections(len(edits))
-	outcome := "" // the error's guard class unless an edit was refused
-	defer func() { st.End(cmp.Or(outcome, guard.ClassName(err))) }()
+// at sink — the one-call form of the edit→query cycle. Edits are applied
+// in order, each to the tree and the incremental state; on an invalid
+// edit the earlier edits of the batch remain applied and the error is
+// returned.
+func (s *Session) EditAndAnalyze(ctx context.Context, edits []SectionEdit, sink *rlctree.Section) (core.NodeAnalysis, error) {
 	if err := guard.Check(ctx); err != nil {
 		return core.NodeAnalysis{}, err
 	}
@@ -366,7 +361,6 @@ func (s *Session) EditAndAnalyze(ctx context.Context, edits []SectionEdit, sink 
 			return core.NodeAnalysis{}, err
 		}
 		if err := s.setElem(e.Section, e.Elem, e.Value); err != nil {
-			outcome = "guard"
 			return core.NodeAnalysis{}, err
 		}
 	}
@@ -401,7 +395,7 @@ func (s *Session) Analyze(ctx context.Context) ([]core.NodeAnalysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	lat.End("")
+	lat.End()
 	s.full = out
 	return slices.Clone(out), nil
 }

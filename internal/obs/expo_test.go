@@ -2,9 +2,19 @@ package obs
 
 import (
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
+
+func mustRead(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
 
 // goldenRegistry builds a registry with one of everything, with fixed
 // values, so the exposition formats can be compared byte-for-byte.

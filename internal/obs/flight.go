@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -19,8 +20,9 @@ import (
 // retry attempt). It is always on: Record costs one atomic sequence bump
 // plus a copy into a preallocated slot under an uncontended per-slot
 // mutex, and allocates nothing. Slow and error events additionally land
-// in a small bounded capture buffer together with their full span tree,
-// so the expensive evidence is retained exactly when it is interesting.
+// in a small bounded capture buffer that outlives the ring's churn, so the
+// evidence is retained exactly when it is interesting. Given a logger,
+// Record also writes the event as one structured log record.
 
 // maxStages bounds the per-stage duration breakdown carried inline by a
 // WideEvent. Stages beyond the cap are dropped (the total still covers
@@ -52,7 +54,7 @@ type WideEvent struct {
 	QueueNS   int64  // time spent waiting for an execution slot
 	TotalNS   int64
 	Err       string
-	Captured  bool // true when the capture buffer retained the span tree
+	Captured  bool // true when the capture buffer retained the event
 
 	nstages int
 	stages  [maxStages]StageDur
@@ -202,13 +204,6 @@ func (e *WideEvent) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Capture pairs an interesting (slow or failed) wide event with its full
-// span tree, when the request was traced.
-type Capture struct {
-	Event WideEvent `json:"event"`
-	Spans *SpanNode `json:"spans,omitempty"`
-}
-
 // flightSlot is one preallocated ring entry. The mutex is uncontended in
 // steady state (two writers collide only after a full ring wrap between
 // their sequence claims) so locking costs one CAS; it exists to make
@@ -228,7 +223,7 @@ type FlightRecorder struct {
 	slowNS int64
 
 	capMu   sync.Mutex
-	caps    []Capture
+	caps    []WideEvent
 	capNext int
 	capN    int
 }
@@ -255,7 +250,7 @@ func NewFlightRecorder(size, captures int, slow time.Duration) *FlightRecorder {
 		slots:  make([]flightSlot, n),
 		mask:   n - 1,
 		slowNS: int64(slow),
-		caps:   make([]Capture, captures),
+		caps:   make([]WideEvent, captures),
 	}
 }
 
@@ -278,9 +273,10 @@ func (f *FlightRecorder) SlowThreshold() time.Duration {
 // Record stores one finished event in the ring and returns its sequence
 // number. If the event is interesting — an error status, a non-empty
 // guard class, or slower than the capture threshold — it also lands in
-// the capture buffer together with tr's span tree (tr may be nil). The
-// hot path (cold capture buffer) is one atomic bump plus a slot copy.
-func (f *FlightRecorder) Record(ev *WideEvent, tr *Trace) uint64 {
+// the capture buffer. With a non-nil log it then writes the event as one
+// "request" record. The hot path (cold capture buffer, nil log) is one
+// atomic bump plus a slot copy.
+func (f *FlightRecorder) Record(ev *WideEvent, log *slog.Logger) uint64 {
 	if f == nil || ev == nil {
 		return 0
 	}
@@ -293,18 +289,16 @@ func (f *FlightRecorder) Record(ev *WideEvent, tr *Trace) uint64 {
 	sl.ev = *ev
 	sl.mu.Unlock()
 	if interesting {
-		c := Capture{Event: *ev}
-		if tr != nil {
-			tree := tr.Tree()
-			c.Spans = &tree
-		}
 		f.capMu.Lock()
-		f.caps[f.capNext] = c
+		f.caps[f.capNext] = *ev
 		f.capNext = (f.capNext + 1) % len(f.caps)
 		if f.capN < len(f.caps) {
 			f.capN++
 		}
 		f.capMu.Unlock()
+	}
+	if log != nil {
+		logEvent(log, ev)
 	}
 	return seq
 }
@@ -359,14 +353,14 @@ func (f *FlightRecorder) Snapshot(q Filter) []WideEvent {
 	return out
 }
 
-// Captures returns the retained slow/error captures, newest first.
-func (f *FlightRecorder) Captures() []Capture {
+// Captures returns the retained slow and error events, newest first.
+func (f *FlightRecorder) Captures() []WideEvent {
 	if f == nil {
 		return nil
 	}
 	f.capMu.Lock()
 	defer f.capMu.Unlock()
-	out := make([]Capture, 0, f.capN)
+	out := make([]WideEvent, 0, f.capN)
 	for i := 0; i < f.capN; i++ {
 		// capNext-1 is the newest; walk backwards.
 		idx := (f.capNext - 1 - i + len(f.caps)*2) % len(f.caps)

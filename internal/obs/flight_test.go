@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"sync"
 	"testing"
 	"time"
@@ -105,17 +107,14 @@ func TestFlightRecorderCapturesErrorsAndSlow(t *testing.T) {
 	if ok.Captured {
 		t.Error("fast success marked Captured")
 	}
-	// Error with a traced span tree: captured.
-	tr := NewTrace("request")
-	st, _ := StartStage(WithTrace(context.Background(), tr), "analyze", nil)
-	st.End("")
-	tr.Finish()
+	// Error: captured with its stages.
 	errEv := WideEvent{RequestID: "boom", Status: 504, Class: "timeout", TotalNS: 10}
-	f.Record(&errEv, tr)
+	errEv.AddStage("analyze", 7)
+	f.Record(&errEv, nil)
 	if !errEv.Captured {
 		t.Error("504 not marked Captured")
 	}
-	// Slow success: captured, no trace.
+	// Slow success: captured.
 	slow := WideEvent{RequestID: "slow", Status: 200, TotalNS: int64(2 * time.Millisecond)}
 	f.Record(&slow, nil)
 
@@ -123,17 +122,11 @@ func TestFlightRecorderCapturesErrorsAndSlow(t *testing.T) {
 	if len(caps) != 2 {
 		t.Fatalf("Captures returned %d, want 2 (bounded)", len(caps))
 	}
-	if caps[0].Event.RequestID != "slow" || caps[1].Event.RequestID != "boom" {
-		t.Errorf("capture order: got %s, %s", caps[0].Event.RequestID, caps[1].Event.RequestID)
+	if caps[0].RequestID != "slow" || caps[1].RequestID != "boom" {
+		t.Errorf("capture order: got %s, %s", caps[0].RequestID, caps[1].RequestID)
 	}
-	if caps[1].Spans == nil {
-		t.Fatal("traced capture lost its span tree")
-	}
-	if len(caps[1].Spans.Children) != 1 || caps[1].Spans.Children[0].Name != "analyze" {
-		t.Errorf("span tree mismatch: %+v", caps[1].Spans)
-	}
-	if caps[0].Spans != nil {
-		t.Error("untraced capture grew a span tree")
+	if st := caps[1].Stages(); len(st) != 1 || st[0] != (StageDur{Name: "analyze", NS: 7}) {
+		t.Errorf("captured stages = %+v, want [analyze 7]", st)
 	}
 }
 
@@ -145,6 +138,41 @@ func TestFlightRecorderCapturesPipelineClassFailures(t *testing.T) {
 	f.Record(&ev, nil)
 	if !ev.Captured {
 		t.Error("classed pipeline failure not captured")
+	}
+}
+
+// TestRecordWritesOneLogRecord: with a logger, each Record writes exactly
+// one "request" record carrying the event's keys, at error for a 5xx or
+// a classed failure without an HTTP status, warn for a 4xx and info
+// otherwise; with a nil logger it writes nothing.
+func TestRecordWritesOneLogRecord(t *testing.T) {
+	noTime := &slog.HandlerOptions{ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
+		if a.Key == slog.TimeKey && len(groups) == 0 {
+			return slog.Attr{}
+		}
+		return a
+	}}
+	for _, tc := range []struct {
+		ev   WideEvent
+		want string
+	}{
+		{WideEvent{RequestID: "r1", Route: "/v1/delay", Status: 200, TotalNS: 5, QueueNS: 2, Attempt: 1, Net: "ab", Cache: "hit", Degraded: "rc_elmore"},
+			`{"level":"INFO","msg":"request","request_id":"r1","route":"/v1/delay","status":200,"total_ns":5,"queue_ns":2,"attempt":1,"net":"ab","cache":"hit","degraded":"rc_elmore"}`},
+		{WideEvent{RequestID: "r2", Route: "/v1/delay", Status: 404, Class: "not_found", Err: "no net"},
+			`{"level":"WARN","msg":"request","request_id":"r2","route":"/v1/delay","status":404,"total_ns":0,"queue_ns":0,"class":"not_found","err":"no net"}`},
+		{WideEvent{RequestID: "r3", Route: "/v1/edit", Status: 504, Attempt: 2, Class: "canceled"},
+			`{"level":"ERROR","msg":"request","request_id":"r3","route":"/v1/edit","status":504,"total_ns":0,"queue_ns":0,"attempt":2,"class":"canceled"}`},
+		{WideEvent{Route: "pipeline.net", Net: "n7", Class: "numeric"},
+			`{"level":"ERROR","msg":"request","request_id":"","route":"pipeline.net","status":0,"total_ns":0,"queue_ns":0,"net":"n7","class":"numeric"}`},
+	} {
+		var buf bytes.Buffer
+		f := NewFlightRecorder(16, 4, time.Second)
+		ev := tc.ev
+		f.Record(&ev, nil)
+		f.Record(&ev, slog.New(slog.NewJSONHandler(&buf, noTime)))
+		if got := buf.String(); got != tc.want+"\n" {
+			t.Errorf("log output:\n%s\nwant one record:\n%s", got, tc.want)
+		}
 	}
 }
 

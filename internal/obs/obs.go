@@ -1,17 +1,15 @@
 // Package obs is the pipeline-wide observability layer: a metrics
 // registry of lock-free counters, gauges and fixed-bucket histograms, a
-// per-request flight recorder of wide events, a lightweight tracing-span
-// tree, and exporters (Prometheus text exposition and JSON). It is
-// dependency-free (standard library only) so every other package —
-// guard, core, engine, transim, the CLIs — can instrument itself without
-// import cycles.
+// per-request flight recorder of wide events, and exporters (Prometheus
+// text exposition and JSON). It is dependency-free (standard library
+// only) so every other package — guard, core, engine, transim, the CLIs
+// — can instrument itself without import cycles.
 //
 // A layer of work is timed one way, by a Stage: StartStage reads the
 // clock once at each end and sends that one duration to the layer's
-// histogram, to the wide event carried by the context (outermost open
-// stage only, so an event's stages partition its total) and to a span
-// when a trace is attached. Time is the same stage for a layer that only
-// has a histogram.
+// histogram and to the wide event carried by the context (outermost open
+// stage only, so an event's stages partition its total). Time is the
+// same stage for a layer that only has a histogram.
 //
 // Design constraints, in order:
 //
@@ -22,11 +20,11 @@
 //     package variables.
 //   - Everything is optional. The global switch lives here: while it is
 //     off, counters, histograms and Gauge.Set record nothing and a stage
-//     with no trace or event reads no clock, so switching it off leaves
-//     an uninstrumented baseline without a guard at each call site. Call sites read On() only to skip real work —
-//     building a wide event, an O(n) tally — or to keep a gauge's paired
-//     Inc and Dec on the same side of a flip. With no Trace in the
-//     context a stage opens no span.
+//     with no event reads no clock, so switching it off leaves an
+//     uninstrumented baseline without a guard at each call site. Call
+//     sites read On() only to skip real work — building a wide event, an
+//     O(n) tally — or to keep a gauge's paired Inc and Dec on the same
+//     side of a flip.
 //   - Exposition never blocks recording. Readers snapshot atomics; a
 //     concurrent exposition dump observes a consistent-enough point-in-
 //     time view without stalling workers.
@@ -53,8 +51,8 @@ func On() bool { return enabled.Load() }
 // writes record nothing; metrics already registered keep their values.
 func SetEnabled(v bool) { enabled.Store(v) }
 
-// now is the clock used for stages and spans, swappable in tests for
-// deterministic trace output.
+// now is the clock used for stages, swappable in tests for
+// deterministic durations.
 var now = time.Now
 
 // defaultRegistry is the process-wide registry all instrumented packages

@@ -14,8 +14,7 @@ import (
 //     event's outermost open stage: nested layers stay out of the event,
 //     so an event's stages partition its total instead of counting it
 //     twice. An event nobody has stamped takes its start time from its
-//     first stage;
-//   - a span under the context's trace, when one is attached.
+//     first stage.
 //
 // A stage with no sink to feed reads no clock at all. A Stage belongs to
 // the goroutine that started it, like the wide event it may write, and
@@ -25,38 +24,31 @@ type Stage struct {
 	name string
 	hist *Histogram
 	ev   *WideEvent // set when this is the event's outermost open stage
-	span *Span
-	t0   time.Time // zero when no sink needs the clock
+	t0   time.Time  // zero when no sink needs the clock
 }
 
 // StartStage opens the stage name under ctx, feeding hist (nil for
-// none). The returned context parents the spans of nested stages; it is
-// ctx itself unless a trace is attached.
-func StartStage(ctx context.Context, name string, hist *Histogram) (Stage, context.Context) {
+// none).
+func StartStage(ctx context.Context, name string, hist *Histogram) Stage {
 	s := Stage{name: name, hist: hist}
 	if ev := EventFrom(ctx); ev != nil && !ev.inStage {
 		ev.inStage = true
 		s.ev = ev
 	}
-	parent, _ := ctx.Value(spanKey{}).(*Span)
-	if s.ev == nil && parent == nil && (hist == nil || !On()) {
-		return s, ctx
+	if s.ev == nil && (hist == nil || !On()) {
+		return s
 	}
 	s.t0 = now()
 	if s.ev != nil && s.ev.StartNS == 0 {
 		s.ev.StartNS = s.t0.UnixNano()
 	}
-	if parent != nil {
-		s.span = parent.child(name, s.t0)
-		ctx = context.WithValue(ctx, spanKey{}, s.span)
-	}
-	return s, ctx
+	return s
 }
 
-// Time opens a stage that feeds hist alone: a layer with no span or
-// wide-event stage of its own, such as a pass nested inside a stage that
-// has them or a call that carries no context. It reads the clock only
-// while instrumentation is on.
+// Time opens a stage that feeds hist alone: a layer with no wide-event
+// stage of its own, such as a pass nested inside a stage that has one or
+// a call that carries no context. It reads the clock only while
+// instrumentation is on.
 func Time(hist *Histogram) Stage {
 	if hist == nil || !On() {
 		return Stage{}
@@ -64,23 +56,9 @@ func Time(hist *Histogram) Stage {
 	return Stage{hist: hist, t0: now()}
 }
 
-// SetLabel attaches a free-form identifier (e.g. the input path) to the
-// stage's span.
-func (s *Stage) SetLabel(label string) { s.span.SetLabel(label) }
-
-// SetSections records on the stage's span how many tree sections the
-// layer worked on.
-func (s *Stage) SetSections(n int) { s.span.SetSections(n) }
-
-// SetWorkers records on the stage's span the worker-pool width the layer
-// used.
-func (s *Stage) SetWorkers(n int) { s.span.SetWorkers(n) }
-
 // End closes the stage and returns its duration, or 0 when no sink
-// needed the clock. outcome ("" means "ok") is recorded on the span: a
-// guard class on failure, or a result such as "degraded", "hit", "miss".
-// Ending a stage a second time records nothing.
-func (s *Stage) End(outcome string) time.Duration {
+// needed the clock. Ending a stage a second time records nothing.
+func (s *Stage) End() time.Duration {
 	if s.t0.IsZero() {
 		return 0
 	}
@@ -93,6 +71,5 @@ func (s *Stage) End(outcome string) time.Duration {
 		s.ev.inStage = false
 		s.ev.AddStage(s.name, d)
 	}
-	s.span.end(outcome, d)
 	return d
 }
