@@ -98,11 +98,12 @@ func BenchmarkEngineParallelComplexity(b *testing.B) {
 }
 
 // BenchmarkAnalyzeTreeParallel times the engine's sharded sweep on a
-// 16 384-section line tree with 4 workers and instrumentation on (the
-// default). What the instrumentation costs is pinned as counts rather
-// than time: internal/engine's TestSweepHistogramsPerSweep (one sample
-// per histogram per sweep) and TestSweepAllocsIndependentOfObs
-// (allocations per sweep as with obs off).
+// 16 384-section line tree with 4 workers. What the instrumentation
+// costs is pinned as counts rather than time: internal/engine's
+// TestSweepHistogramsPerSweep (one sample per histogram per sweep) and
+// TestSweepAllocsIndependentOfObs (a stage and Record allocate nothing
+// past the bare sweep), with internal/obs's
+// TestMetricWritesAllocateNothing.
 func BenchmarkAnalyzeTreeParallel(b *testing.B) {
 	tree, err := rlctree.Line("w", 16384, rlctree.SectionValues{R: 1, L: 0.1e-9, C: 10e-15})
 	if err != nil {

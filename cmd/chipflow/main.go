@@ -83,7 +83,7 @@ func realMain() int {
 	maxNets := flag.Int("max-nets", 0, "abort past this many nets (0 = sized for the input)")
 	maxElems := flag.Int("max-elements", 0, "abort past this many parasitic elements (0 = sized for the input)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
-	metricsOut := flag.String("metrics", "", `write the metrics exposition to this file at exit ("-" = stdout, *.json = JSON form)`)
+	metricsOut := flag.String("metrics", "", `write the Prometheus text exposition to this file at exit ("-" = stdout)`)
 	failedOut := flag.String("failed", "", `write the failed-net wide events retained by the flight recorder as JSON to this file at exit ("-" = stdout)`)
 	pprofAddr := flag.String("pprof", "", `serve net/http/pprof on this address (empty = no listener)`)
 	assertRSSMB := flag.Int("assert-rss-mb", 0, "fail (exit 1) if peak RSS exceeds this many MiB (0 = no assertion)")

@@ -126,6 +126,20 @@ func TestDebugEndpointsSmoke(t *testing.T) {
 	}
 }
 
+// TestSlowThresholdReachesServer: under `-slow-threshold 1ns` every
+// request is slow, so one healthy /v1/delay lands in /v1/debug/slow.
+func TestSlowThresholdReachesServer(t *testing.T) {
+	_, base, _ := startDaemon(t, "-debug-requests", "-slow-threshold", "1ns")
+	if code := postDelay(t, base); code != 200 {
+		t.Fatalf("delay: status %d", code)
+	}
+	var slow eedsrv.DebugSlowResponse
+	getDebugJSON(t, base+"/v1/debug/slow", &slow)
+	if len(slow.Captures) != 1 || slow.Captures[0].Route != "/v1/delay" || slow.Captures[0].Status != 200 {
+		t.Fatalf("captures = %+v, want the one healthy /v1/delay", slow.Captures)
+	}
+}
+
 // TestDebugEndpointsAbsentByDefault: without -debug-requests the daemon
 // must not expose the flight-recorder views.
 func TestDebugEndpointsAbsentByDefault(t *testing.T) {

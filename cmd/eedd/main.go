@@ -13,7 +13,7 @@
 //	POST /v1/edit     apply element edits, requery in O(depth)
 //	GET  /v1/nets     resident nets and registry counters
 //	GET  /healthz     liveness; 503 while draining
-//	GET  /metrics     Prometheus text exposition (?format=json)
+//	GET  /metrics     Prometheus text exposition
 //
 // SIGINT/SIGTERM starts a graceful drain: /healthz flips to 503, new
 // analysis requests are rejected with class "draining", requests already
@@ -87,12 +87,6 @@ func realMain() int {
 		}
 		defer closeLog.Close()
 	}
-	if *slowThresh > 0 {
-		// Replace the process-wide recorder so both the server and any
-		// engine pipeline work share the configured slow threshold.
-		obs.SetDefaultFlight(obs.NewFlightRecorder(obs.DefaultFlightEvents, obs.DefaultFlightCaptures, *slowThresh))
-	}
-
 	srv := eedsrv.New(eedsrv.Options{
 		Engine:          engine.New(engine.Options{Workers: *workers}),
 		RegistryEntries: *registry,
@@ -100,6 +94,7 @@ func realMain() int {
 		RequestTimeout:  *timeout,
 		MountPprof:      *pprofFlag,
 		EnableFaults:    *faultsAdmin,
+		Flight:          obs.NewFlightRecorder(obs.DefaultFlightEvents, obs.DefaultFlightCaptures, *slowThresh),
 		DebugRequests:   *debugReq,
 		Logger:          logger,
 	})

@@ -105,6 +105,7 @@ func startDaemon(t *testing.T, extraArgs ...string) (*exec.Cmd, string, *stderrL
 		t.Fatal(err)
 	}
 	cmd.Stderr = pw
+	cmd.Stdout = new(bytes.Buffer) // read it only after Wait
 	if err := cmd.Start(); err != nil {
 		pr.Close()
 		pw.Close()
@@ -185,6 +186,48 @@ func TestServeQueryAndGracefulDrain(t *testing.T) {
 	}
 	if err := cmd.Wait(); exitCode(t, err) != 0 {
 		t.Fatalf("exit %d after SIGTERM, want 0", exitCode(t, err))
+	}
+}
+
+// postDelay sends one healthy /v1/delay on an inline tree and returns
+// its status.
+func postDelay(t *testing.T, base string) int {
+	t.Helper()
+	body := `{"tree": "a - 25 1n 50f\nb a 25 1n 50f\n", "node": "b"}`
+	resp, err := http.Post(base+"/v1/delay", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestLogToStdout: `eedd -log -` starts, writes one JSON "request" record
+// per request to stdout, and drains to exit 0 on SIGTERM.
+func TestLogToStdout(t *testing.T) {
+	cmd, base, rest := startDaemon(t, "-log", "-")
+	if code := postDelay(t, base); code != 200 {
+		t.Fatalf("delay: status %d", code)
+	}
+	cmd.Process.Signal(syscall.SIGTERM)
+	if err := cmd.Wait(); exitCode(t, err) != 0 {
+		t.Fatalf("exit %d after SIGTERM, want 0\nstderr:\n%s", exitCode(t, err), rest.String())
+	}
+	stdout := cmd.Stdout.(*bytes.Buffer).String()
+	requests := 0
+	for _, line := range strings.Split(strings.TrimSpace(stdout), "\n") {
+		var rec struct {
+			Msg string `json:"msg"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("stdout line is not JSON: %q: %v", line, err)
+		}
+		if rec.Msg == "request" {
+			requests++
+		}
+	}
+	if requests != 1 {
+		t.Fatalf("stdout holds %d request records, want 1:\n%s", requests, stdout)
 	}
 }
 

@@ -97,11 +97,8 @@ type phase struct {
 // steadySchedule is one clean phase over the whole run.
 var steadySchedule = []phase{{Name: "steady", Frac: 1}}
 
-// chaosSchedule ramps from a clean baseline through every fault family,
-// restarts the server, then measures recovery. guard.panic and
-// batch.cancel are deliberately absent: in process the fault plan is
-// global to eedload, and those two points could fire inside its own
-// verification.
+// chaosSchedule ramps from a clean baseline through every fault point,
+// restarts the server, then measures recovery.
 func chaosSchedule(seed int64) []phase {
 	s := func(tmpl string) string { return fmt.Sprintf("seed=%d;", seed) + tmpl }
 	return []phase{

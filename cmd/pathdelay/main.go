@@ -41,7 +41,7 @@ func main() {
 func realMain() int {
 	riseFlag := flag.String("rise", "0", "10-90% rise time of the input edge (e.g. 50p); 0 = ideal step")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
-	metricsOut := flag.String("metrics", "", `write the metrics exposition to this file at exit ("-" = stdout, *.json = JSON form)`)
+	metricsOut := flag.String("metrics", "", `write the Prometheus text exposition to this file at exit ("-" = stdout)`)
 	pprofAddr := flag.String("pprof", "", `serve net/http/pprof on this address (e.g. "localhost:6060"; empty = no listener)`)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: pathdelay [flags] <spec-file>\n")

@@ -23,12 +23,11 @@
 // or -j ≠ 1) end with a summary line on stderr: inputs, failures by
 // class, degraded-node totals, and p50/p99 per-input latency.
 //
-// Observability: -metrics writes a Prometheus-style text exposition dump
-// ("-" = stdout, a .json path gets the JSON form) at exit, with the
-// latency histograms of the layers each input runs through (the sums
-// pass, the per-node sweep, the engine's sweep); -pprof serves
-// net/http/pprof on the given address while the run lasts. Both are off
-// by default and cost nothing when off.
+// Observability: -metrics writes the Prometheus text exposition ("-" =
+// stdout) at exit, with the latency histograms of the layers each input
+// runs through (the sums pass, the per-node sweep, the engine's sweep);
+// -pprof serves net/http/pprof on the given address while the run lasts.
+// Both are off by default and cost nothing when off.
 //
 // Nodes whose second-order model degraded to the RC (Elmore) fallback are
 // marked in the `deg` column with the degradation class (zero-inductance,
@@ -82,7 +81,7 @@ func realMain() int {
 		dot        = flag.Bool("dot", false, "emit the tree as Graphviz DOT instead of analyzing it")
 		timeout    = flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 		jobs       = flag.Int("j", 1, "process up to this many inputs concurrently (0 = one per CPU)")
-		metricsOut = flag.String("metrics", "", `write the metrics exposition to this file at exit ("-" = stdout, *.json = JSON form)`)
+		metricsOut = flag.String("metrics", "", `write the Prometheus text exposition to this file at exit ("-" = stdout)`)
 		pprofAddr  = flag.String("pprof", "", `serve net/http/pprof on this address (e.g. "localhost:6060"; empty = no listener)`)
 	)
 	flag.Usage = func() {

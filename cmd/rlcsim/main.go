@@ -50,7 +50,7 @@ func realMain() int {
 		adaptive   = flag.Bool("adaptive", false, "error-controlled time stepping (trapezoidal; -step ignored)")
 		tol        = flag.Float64("tol", 1e-4, "with -adaptive: relative local-truncation-error tolerance")
 		timeout    = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
-		metricsOut = flag.String("metrics", "", `write the metrics exposition to this file at exit ("-" = stdout, *.json = JSON form)`)
+		metricsOut = flag.String("metrics", "", `write the Prometheus text exposition to this file at exit ("-" = stdout)`)
 		pprofAddr  = flag.String("pprof", "", `serve net/http/pprof on this address (e.g. "localhost:6060"; empty = no listener)`)
 	)
 	flag.Usage = func() {

@@ -108,12 +108,9 @@ func StartSweep(ctx context.Context) obs.Stage {
 }
 
 // EndSweep closes a sweep stage. out is the completed sweep's result, nil
-// when the sweep failed; its degraded nodes are counted once per sweep,
-// and only while instrumentation is on, since the tally is O(n).
+// when the sweep failed; its degraded nodes are counted once per sweep.
 func EndSweep(st *obs.Stage, out []NodeAnalysis) {
-	if obs.On() {
-		recordDegraded(out)
-	}
+	recordDegraded(out)
 	st.End()
 }
 

@@ -271,6 +271,32 @@ func TestFaultsEndpointSurvivesDrain(t *testing.T) {
 	}
 }
 
+// TestServerGaugesReturnToStart: eed_server_queued and
+// eed_server_inflight end where they started after a request that timed
+// out in the queue and after one whose handler panicked.
+func TestServerGaugesReturnToStart(t *testing.T) {
+	queued, inflight := mQueued.Value(), mInflight.Value()
+	check := func(after string) {
+		t.Helper()
+		if q, f := mQueued.Value(), mInflight.Value(); q != queued || f != inflight {
+			t.Errorf("after %s: queued %d, inflight %d; want %d, %d", after, q, f, queued, inflight)
+		}
+	}
+	s := newTestServer(t, Options{MaxInflight: 1, RequestTimeout: 20 * time.Millisecond})
+	s.sem <- struct{}{} // hold the only worker slot
+	code, _ := do(t, s, "POST", "/v1/delay", DelayRequest{Tree: balanced7, Node: "s1"})
+	<-s.sem
+	if code != 504 {
+		t.Fatalf("queued request: status %d, want 504", code)
+	}
+	check("a queued 504")
+	armFaults(t, "srv.panic:p=1,n=1")
+	if code, _ := do(t, s, "POST", "/v1/delay", DelayRequest{Tree: balanced7, Node: "s1"}); code != 500 {
+		t.Fatalf("panicking request: status %d, want 500", code)
+	}
+	check("a handler panic")
+}
+
 // srv.panic is recovered by the analysis middleware into a JSON 500 on
 // the still-open connection; srv.conn_drop (http.ErrAbortHandler) still
 // severs the transport. The server survives both and keeps serving.

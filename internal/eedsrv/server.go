@@ -109,7 +109,6 @@ type Server struct {
 
 	draining atomic.Bool
 	inflight atomic.Int64
-	queued   atomic.Int64
 }
 
 // Correlation headers. The server echoes the request ID on every
@@ -361,9 +360,6 @@ func (s *Server) requestID(r *http.Request) (string, int) {
 func (s *Server) analysis(endpoint string, h func(ctx context.Context, w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
 	requests := endpointRequests(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
-		// track keeps each gauge's Inc and Dec on the same side of a
-		// SetEnabled flip during the request.
-		track := obs.On()
 		t0 := s.clock()
 		requests().Inc()
 		rid, attempt := s.requestID(r)
@@ -420,24 +416,15 @@ func (s *Server) analysis(endpoint string, h func(ctx context.Context, w http.Re
 			ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
 			defer cancel()
 		}
-		s.queued.Add(1)
-		if track {
-			mQueued.Inc()
-		}
+		mQueued.Inc()
 		qt0 := s.clock()
 		select {
 		case s.sem <- struct{}{}:
-			s.queued.Add(-1)
 			ev.QueueNS = int64(s.clock().Sub(qt0))
-			if track {
-				mQueued.Dec()
-			}
+			mQueued.Dec()
 		case <-ctx.Done():
-			s.queued.Add(-1)
 			ev.QueueNS = int64(s.clock().Sub(qt0))
-			if track {
-				mQueued.Dec()
-			}
+			mQueued.Dec()
 			// The deadline fired while the request was still queued — it
 			// never executed, so the 504 carries Retry-After (edit-safe).
 			writeError(ew, &apiErr{status: http.StatusGatewayTimeout, class: "canceled",
@@ -447,15 +434,11 @@ func (s *Server) analysis(endpoint string, h func(ctx context.Context, w http.Re
 		}
 		s.inflight.Add(1)
 		ran = true
-		if track {
-			mInflight.Inc()
-		}
+		mInflight.Inc()
 		defer func() {
 			<-s.sem
 			s.inflight.Add(-1)
-			if track {
-				mInflight.Dec()
-			}
+			mInflight.Dec()
 		}()
 		// Fault-injection points, armed only under an active faultinj plan
 		// (one atomic load each otherwise). They run after the slot

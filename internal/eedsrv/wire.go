@@ -13,7 +13,7 @@
 //	POST /v1/edit     apply element edits, requery O(depth) → EditResponse
 //	GET  /v1/nets     resident nets + registry counters   → RegistryResponse
 //	GET  /healthz     liveness / drain state
-//	GET  /metrics     Prometheus text exposition (?format=json)
+//	GET  /metrics     Prometheus text exposition
 //
 // Analysis requests name their net either inline (`"tree"`: the
 // internal/rlctree text format — parsed, registered and kept warm) or by

@@ -5,9 +5,7 @@ import (
 	"runtime"
 	"sync"
 
-	"eedtree/internal/faultinj"
 	"eedtree/internal/guard"
-	"eedtree/internal/obs"
 )
 
 // defaultWorkers is the pool width used when a caller passes workers <= 0.
@@ -54,25 +52,12 @@ func Batch(ctx context.Context, n, workers int, fn func(ctx context.Context, i i
 	// Queue-depth accounting: every task starts queued; a task moves from
 	// queued to in-flight when it begins executing. One gauge add up
 	// front, two gauge moves per task — nothing on the per-node hot path.
-	// track is read once so every Inc meets its Dec across a SetEnabled
-	// flip.
-	track := obs.On()
-	if track {
-		mBatchQueued.Add(int64(n))
-	}
+	mBatchQueued.Add(int64(n))
 	runOne := func(ctx context.Context, i int) error {
 		mBatchTasks.Inc()
-		if track {
-			mBatchQueued.Dec()
-			mBatchInflight.Inc()
-			defer mBatchInflight.Dec()
-		}
-		// Fault injection: one task's injected cancellation must not
-		// disturb its siblings (per-item isolation, pinned by tests).
-		if faultinj.Fire(faultinj.BatchCancel) {
-			return guard.Newf(guard.ErrCanceled, "engine.faultinj",
-				"injected batch-task cancellation (batch.cancel)")
-		}
+		mBatchQueued.Dec()
+		mBatchInflight.Inc()
+		defer mBatchInflight.Dec()
 		return guard.Run(ctx, func(ctx context.Context) error { return fn(ctx, i) })
 	}
 	if workers == 1 {

@@ -81,8 +81,10 @@ func TestBatchBoundedConcurrency(t *testing.T) {
 // TestBatchCancelMidBatch: when the context fires partway through, tasks
 // not yet started are short-circuited with guard.ErrCanceled while
 // already-finished tasks keep their results — the per-input isolation
-// contract of the rlcdelay batch.
+// contract of the rlcdelay batch. The queue and in-flight gauges end
+// where they started.
 func TestBatchCancelMidBatch(t *testing.T) {
+	back := gaugesBack(t, mBatchQueued, mBatchInflight)
 	ctx, cancel := context.WithCancel(context.Background())
 	const n = 10
 	errs := Batch(ctx, n, 1, func(_ context.Context, i int) error {
@@ -101,6 +103,7 @@ func TestBatchCancelMidBatch(t *testing.T) {
 			t.Fatalf("task %d after cancellation: %v, want guard.ErrCanceled", i, errs[i])
 		}
 	}
+	back("a batch canceled midway")
 }
 
 func TestBatchEmptyAndDefaults(t *testing.T) {

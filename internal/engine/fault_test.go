@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 
 	"eedtree/internal/faultinj"
@@ -93,49 +92,5 @@ func TestSessionNumericFaultIsHonest422Class(t *testing.T) {
 	d, err := sess.DelayAt(sink)
 	if err != nil || d <= 0 {
 		t.Fatalf("post-fault DelayAt = (%v, %v), want a positive delay", d, err)
-	}
-}
-
-func TestBatchCancelFaultIsolatedPerTask(t *testing.T) {
-	armFaults(t, "seed=5;batch.cancel:p=1,n=2")
-	ran := make([]bool, 6)
-	errs := Batch(context.Background(), 6, 2, func(_ context.Context, i int) error {
-		ran[i] = true
-		return nil
-	})
-	canceled := 0
-	for i, err := range errs {
-		switch {
-		case err == nil:
-			if !ran[i] {
-				t.Fatalf("task %d reported success without running", i)
-			}
-		case errors.Is(err, guard.ErrCanceled):
-			canceled++
-			if ran[i] {
-				t.Fatalf("task %d ran despite injected cancellation", i)
-			}
-		default:
-			t.Fatalf("task %d: unexpected error %v", i, err)
-		}
-	}
-	if canceled != 2 {
-		t.Fatalf("%d tasks canceled, want exactly n=2", canceled)
-	}
-}
-
-func TestGuardPanicFaultRecoveredToInternal(t *testing.T) {
-	armFaults(t, "guard.panic:p=1,n=1")
-	err := guard.Run(context.Background(), func(context.Context) error { return nil })
-	if !errors.Is(err, guard.ErrInternal) {
-		t.Fatalf("error = %v, want internal class", err)
-	}
-	var ge *guard.Error
-	if !errors.As(err, &ge) || len(ge.Stack) == 0 || !strings.Contains(ge.Err.Error(), "faultinj") {
-		t.Fatalf("recovered error lacks stack or cause: %+v", ge)
-	}
-	// Budget spent: the next run is clean.
-	if err := guard.Run(context.Background(), func(context.Context) error { return nil }); err != nil {
-		t.Fatalf("post-fault Run = %v", err)
 	}
 }

@@ -5,7 +5,7 @@ import "eedtree/internal/obs"
 // Registry metrics for the execution layer. The cache counters mirror
 // Engine.CacheStats exactly (Session.Analyze bumps both at the same two
 // sites), so an exposition dump and the engines' CacheStats always agree
-// within one process when instrumentation is enabled.
+// within one process.
 var (
 	mCacheHits = obs.Default().Counter("eed_engine_cache_hits_total",
 		"Session whole-tree analyses answered from the session's held result.")

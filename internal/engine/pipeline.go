@@ -100,10 +100,6 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 	if depth <= 0 {
 		depth = 2 * workers
 	}
-	// track gates the work that exists for instrumentation alone: the
-	// queue gauges' paired Inc/Dec (read once, so a flip mid-run cannot
-	// unbalance them) and each net's wide event.
-	track := obs.On()
 	t0 := time.Now()
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -137,17 +133,13 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 			}
 			lat.End()
 			mPipeNetsParsed.Inc()
-			if track {
-				mPipeParseQueue.Inc()
-				mPipeInflight.Inc()
-			}
+			mPipeParseQueue.Inc()
+			mPipeInflight.Inc()
 			select {
 			case jobs <- pipeJob{index: i, net: n, units: s.Units()}:
 			case <-ctx.Done():
-				if track {
-					mPipeParseQueue.Dec()
-					mPipeInflight.Dec()
-				}
+				mPipeParseQueue.Dec()
+				mPipeInflight.Dec()
 				spef.RecycleNet(n)
 				return
 			}
@@ -170,18 +162,11 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 			// land in the flight recorder's capture buffer (Status 0 +
 			// Class counts as interesting), healthy ones ride the ring for
 			// /v1/debug style dumps.
-			wctx := ctx
-			if track {
-				wctx = obs.WithEvent(ctx, &obs.WideEvent{})
-			}
+			wctx := obs.WithEvent(ctx, &obs.WideEvent{})
 			for job := range jobs {
-				if track {
-					mPipeParseQueue.Dec()
-				}
+				mPipeParseQueue.Dec()
 				res := analyzeOne(wctx, job)
-				if track {
-					mPipeResultQueue.Inc()
-				}
+				mPipeResultQueue.Inc()
 				results <- res
 			}
 		}()
@@ -229,10 +214,8 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 	pending := make(map[int]NetResult, depth)
 	next := 0
 	for res := range results {
-		if track {
-			mPipeResultQueue.Dec()
-			mPipeInflight.Dec()
-		}
+		mPipeResultQueue.Dec()
+		mPipeInflight.Dec()
 		pending[res.Index] = res
 		for {
 			r, ok := pending[next]
@@ -301,17 +284,16 @@ func AnalyzeNet(ctx context.Context, net *spef.Net, units spef.Units) (timing.Ne
 }
 
 // analyzeOne runs one net through AnalyzeNet under ctx, recycling the net
-// on every path (the net must not be touched after this call). The wide
-// event ctx carries, if any, is reset for this net, stamped by the net's
-// "analyze" stage (the layers nested in it stay out of the event), and
-// recorded in the flight recorder with the stage's duration as its total.
+// on every path (the net must not be touched after this call). The
+// worker's wide event, carried by ctx, is reset for this net, stamped by
+// the net's "analyze" stage (the layers nested in it stay out of the
+// event), and recorded in the flight recorder with the stage's duration
+// as its total.
 func analyzeOne(ctx context.Context, job pipeJob) NetResult {
 	res := NetResult{Index: job.index, Net: job.net.Name}
 	ev := obs.EventFrom(ctx)
-	if ev != nil {
-		// job.net is recycled below; res captured the name.
-		*ev = obs.WideEvent{Route: "pipeline.net", Net: res.Net}
-	}
+	// job.net is recycled below; res captured the name.
+	*ev = obs.WideEvent{Route: "pipeline.net", Net: res.Net}
 	st := obs.StartStage(ctx, "analyze", mPipeAnalyzeLatency)
 	err := guard.Run(ctx, func(ctx context.Context) error {
 		var err error
@@ -320,13 +302,10 @@ func analyzeOne(ctx context.Context, job pipeJob) NetResult {
 	})
 	spef.RecycleNet(job.net)
 	res.Err = err
-	d := st.End()
-	if ev != nil {
-		ev.TotalNS = int64(d)
-		ev.SetClass(guard.ClassName(err))
-		ev.SetErr(err)
-		obs.DefaultFlight().Record(ev, nil)
-	}
+	ev.TotalNS = int64(st.End())
+	ev.SetClass(guard.ClassName(err))
+	ev.SetErr(err)
+	obs.DefaultFlight().Record(ev, nil)
 	return res
 }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"eedtree/internal/core"
 	"eedtree/internal/guard"
@@ -266,20 +265,53 @@ func TestPipelineEmptyInput(t *testing.T) {
 // run under the event's context: nested layers stay out of the event.
 func TestPipelineNetEventHoldsOneStage(t *testing.T) {
 	const nets = 40
-	fr := obs.NewFlightRecorder(2*nets, 4, time.Hour)
-	defer obs.SetDefaultFlight(obs.DefaultFlight())
-	obs.SetDefaultFlight(fr)
+	fr := obs.DefaultFlight()
+	var seq0 uint64 // events up to seq0 predate this run
+	if last := fr.Snapshot(obs.Filter{N: 1}); len(last) > 0 {
+		seq0 = last[0].Seq
+	}
 	_, stats, err := RunPipeline(context.Background(), strings.NewReader(genSPEF(nets, 0)), PipelineConfig{Workers: 2})
 	if err != nil || stats.Nets != nets {
 		t.Fatalf("RunPipeline over %d nets: %d analyzed, %v", nets, stats.Nets, err)
 	}
-	events := fr.Snapshot(obs.Filter{Route: "pipeline.net"})
-	if len(events) != nets {
-		t.Fatalf("flight recorder holds %d net events, want %d", len(events), nets)
-	}
-	for _, ev := range events {
+	recorded := 0
+	for _, ev := range fr.Snapshot(obs.Filter{Route: "pipeline.net"}) { // newest first
+		if ev.Seq <= seq0 {
+			break
+		}
+		recorded++
 		if st := ev.Stages(); len(st) != 1 || st[0].Name != "analyze" || st[0].NS != ev.TotalNS {
 			t.Fatalf("net %s: stages %+v, want one analyze stage of the event's %d ns", ev.Net, st, ev.TotalNS)
 		}
+	}
+	if recorded != nets {
+		t.Fatalf("the run recorded %d net events, want %d", recorded, nets)
+	}
+}
+
+// TestPipelineGaugesReturnToStart: the queue and in-flight gauges come
+// back to where they started after a clean run and after each run
+// canceled from OnNet mid-stream, whichever way the parser's send and
+// the workers' drain race the cancellation.
+func TestPipelineGaugesReturnToStart(t *testing.T) {
+	back := gaugesBack(t, mPipeParseQueue, mPipeResultQueue, mPipeInflight)
+	src := genSPEF(200, 0)
+	if _, _, err := RunPipeline(context.Background(), strings.NewReader(src), PipelineConfig{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	back("a clean run")
+	for stop := 1; stop <= 96; stop += 5 {
+		ctx, cancel := context.WithCancel(context.Background())
+		seen := 0
+		_, _, err := RunPipeline(ctx, strings.NewReader(src), PipelineConfig{Workers: 2, OnNet: func(NetResult) {
+			if seen++; seen == stop {
+				cancel()
+			}
+		}})
+		cancel()
+		if !errors.Is(err, guard.ErrCanceled) {
+			t.Fatalf("run canceled after %d nets: err = %v, want canceled", stop, err)
+		}
+		back(fmt.Sprintf("a run canceled after %d nets", stop))
 	}
 }

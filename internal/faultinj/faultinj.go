@@ -1,16 +1,15 @@
 // Package faultinj is the deterministic fault-injection framework the
 // resilience suite drives: named injection points compiled into the
-// service layers (the HTTP handler spine, the engine registry, sessions
-// and batches, guard.Run) that do nothing until a Plan is activated, then
-// fire — panic, stall, evict, degrade — according to seed-driven,
+// service layers (the HTTP handler spine, the engine registry and its
+// sessions) that do nothing until a Plan is activated, then fire —
+// panic, stall, drop, evict, degrade — according to seed-driven,
 // reproducible per-point schedules.
 //
-// Discipline mirrors internal/obs: when no plan is active the per-site
-// cost is one atomic pointer load (Fire returns false immediately), so
-// production binaries carry the points for free. An armed plan whose
-// rules never fire costs one decision per site and no allocation; the
-// engine's TestSessionEditPathByteBudget counts both on the session
-// query path.
+// When no plan is active the per-site cost is one atomic pointer load
+// (Fire returns false immediately), so production binaries carry the
+// points for free. An armed plan whose rules never fire costs one
+// decision per site and no allocation; the engine's
+// TestSessionEditPathByteBudget counts both on the session query path.
 //
 // Determinism. A plan carries a seed; each rule keeps an atomic arrival
 // counter, and the fire/skip decision for arrival n is a pure function of
@@ -64,18 +63,11 @@ const (
 	// error — the degraded-kernel fault. The service must serve an honest
 	// 422, never a wrong float.
 	SessNumeric Point = "sess.numeric"
-	// BatchCancel fails one engine.Batch task with an injected
-	// canceled-classed error, exercising per-item isolation.
-	BatchCancel Point = "batch.cancel"
-	// GuardPanic panics inside guard.Run's protected region, exercising
-	// panic isolation end to end (recovered to ErrInternal → 500).
-	GuardPanic Point = "guard.panic"
 )
 
 // Points returns every known injection point, in stable order.
 func Points() []Point {
-	return []Point{SrvPanic, SrvStall, SrvQueueTimeout, SrvConnDrop,
-		RegEvict, SessNumeric, BatchCancel, GuardPanic}
+	return []Point{SrvPanic, SrvStall, SrvQueueTimeout, SrvConnDrop, RegEvict, SessNumeric}
 }
 
 // Rule is the firing schedule of one point within a plan.

@@ -102,27 +102,27 @@ func TestDeterministicAcrossPlans(t *testing.T) {
 }
 
 func TestAfterSkipsArrivals(t *testing.T) {
-	arm(t, "batch.cancel:after=3")
+	arm(t, "reg.evict:after=3")
 	for i := 1; i <= 3; i++ {
-		if Fire(BatchCancel) {
+		if Fire(RegEvict) {
 			t.Fatalf("arrival %d fired inside the after window", i)
 		}
 	}
-	if !Fire(BatchCancel) {
+	if !Fire(RegEvict) {
 		t.Fatal("arrival 4 should fire")
 	}
 }
 
 func TestNBoundsTotalFires(t *testing.T) {
-	arm(t, "guard.panic:n=2")
+	arm(t, "sess.numeric:n=2")
 	fires := 0
 	for i := 0; i < 50; i++ {
-		if Fire(GuardPanic) {
+		if Fire(SessNumeric) {
 			fires++
 		}
 	}
-	if fires != 2 || Fired(GuardPanic) != 2 {
-		t.Fatalf("fires = %d, Fired = %d, want 2", fires, Fired(GuardPanic))
+	if fires != 2 || Fired(SessNumeric) != 2 {
+		t.Fatalf("fires = %d, Fired = %d, want 2", fires, Fired(SessNumeric))
 	}
 }
 

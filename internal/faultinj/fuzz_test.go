@@ -13,8 +13,8 @@ func FuzzParseFaultSpec(f *testing.F) {
 		"srv.stall:p=0.2,d=25ms",
 		"seed=7;srv.panic:p=0.02,n=5;reg.evict:p=0.01",
 		"sess.numeric",
-		"seed=0;guard.panic:after=3",
-		"batch.cancel:p=1,n=0",
+		"seed=0;reg.evict:after=3",
+		"sess.numeric:p=1,n=0",
 		"srv.conn_drop : p=0.5 , n=2",
 		"seed=18446744073709551615;srv.queue_timeout:p=0.001",
 		";;srv.stall;;",

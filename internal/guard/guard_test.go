@@ -87,6 +87,10 @@ func TestRunConvertsExplicitPanicToInternal(t *testing.T) {
 	if !strings.Contains(err.Error(), "invalid dimensions") {
 		t.Fatalf("panic message lost: %v", err)
 	}
+	var ge *Error
+	if !errors.As(err, &ge) || len(ge.Stack) == 0 {
+		t.Fatalf("recovered panic lacks its stack: %+v", ge)
+	}
 }
 
 func TestRunPassesThroughErrorsAndResults(t *testing.T) {

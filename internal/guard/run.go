@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-
-	"eedtree/internal/faultinj"
 )
 
 // Run executes fn under ctx with panic isolation. Any panic escaping fn is
@@ -30,11 +28,6 @@ func Run(ctx context.Context, fn func(context.Context) error) (err error) {
 			err = fromPanic(v)
 		}
 	}()
-	// Fault injection: a panic here is inside the protected region, so the
-	// whole isolation path — recover, stack capture, ErrInternal — runs.
-	if faultinj.Fire(faultinj.GuardPanic) {
-		panic("faultinj: injected panic (guard.panic)")
-	}
 	err = fn(ctx)
 	if err != nil && ctx.Err() != nil {
 		// The computation stopped because the context fired; report the

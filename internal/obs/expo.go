@@ -2,12 +2,10 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
-	"strings"
 )
 
 // WritePrometheus writes every registered metric in the Prometheus text
@@ -49,8 +47,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(bw, "%s_sum %d\n", family, s.sum)
 			fmt.Fprintf(bw, "%s_count %d\n", family, s.count)
 			// Pre-computed quantile estimates as untyped companion
-			// series, so dashboards without a PromQL evaluator (the
-			// .json form, curl) still get latency percentiles. Skipped
+			// series, so readers without a PromQL evaluator (curl, a
+			// -metrics dump) still get latency percentiles. Skipped
 			// for empty histograms, where the estimate is undefined.
 			if s.count > 0 {
 				for _, q := range expoQuantiles {
@@ -63,8 +61,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
-// expoQuantiles are the quantile estimates both exposition forms attach
-// to every non-empty histogram.
+// expoQuantiles are the quantile estimates the exposition attaches to
+// every non-empty histogram.
 var expoQuantiles = []struct {
 	pct int
 	q   float64
@@ -76,83 +74,17 @@ func formatQuantile(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// jsonHistogram is the JSON form of a histogram snapshot. The quantile
-// fields are omitted for empty histograms (the estimate is undefined,
-// and NaN is not representable in JSON).
-type jsonHistogram struct {
-	Buckets []jsonBucket `json:"buckets"`
-	Sum     int64        `json:"sum"`
-	Count   uint64       `json:"count"`
-	P50     *float64     `json:"p50,omitempty"`
-	P95     *float64     `json:"p95,omitempty"`
-	P99     *float64     `json:"p99,omitempty"`
-}
-
-type jsonBucket struct {
-	LE    string `json:"le"` // upper bound; "+Inf" for the overflow bucket
-	Count uint64 `json:"count"`
-}
-
-// jsonDump is the JSON exposition schema: metric kind -> name -> value.
-type jsonDump struct {
-	Counters   map[string]uint64        `json:"counters"`
-	Gauges     map[string]int64         `json:"gauges"`
-	Histograms map[string]jsonHistogram `json:"histograms"`
-}
-
-// WriteJSON writes every registered metric as one JSON object with
-// deterministic key order (encoding/json sorts map keys).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	d := jsonDump{
-		Counters:   map[string]uint64{},
-		Gauges:     map[string]int64{},
-		Histograms: map[string]jsonHistogram{},
-	}
-	r.metrics.Range(func(k, v any) bool {
-		switch m := v.(type) {
-		case *Counter:
-			d.Counters[k.(string)] = m.Value()
-		case *Gauge:
-			d.Gauges[k.(string)] = m.Value()
-		case *Histogram:
-			s := m.snapshot()
-			jh := jsonHistogram{Sum: s.sum, Count: s.count}
-			if s.count > 0 {
-				p50, p95, p99 := s.quantile(0.50), s.quantile(0.95), s.quantile(0.99)
-				jh.P50, jh.P95, jh.P99 = &p50, &p95, &p99
-			}
-			cum := uint64(0)
-			for i, b := range s.bounds {
-				cum += s.counts[i]
-				jh.Buckets = append(jh.Buckets, jsonBucket{LE: fmt.Sprint(b), Count: cum})
-			}
-			cum += s.counts[len(s.bounds)]
-			jh.Buckets = append(jh.Buckets, jsonBucket{LE: "+Inf", Count: cum})
-			d.Histograms[k.(string)] = jh
-		}
-		return true
-	})
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
-// DumpPrometheus writes the exposition dump to path ("-" means stdout).
-// A path ending in .json gets the JSON form instead of the text
-// exposition.
+// DumpPrometheus writes the text exposition to path ("-" means stdout),
+// whatever the path's extension.
 func (r *Registry) DumpPrometheus(path string) error {
-	write := r.WritePrometheus
-	if strings.HasSuffix(path, ".json") {
-		write = r.WriteJSON
-	}
 	if path == "-" {
-		return write(os.Stdout)
+		return r.WritePrometheus(os.Stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	werr := write(f)
+	werr := r.WritePrometheus(f)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}

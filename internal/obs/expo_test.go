@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"os"
 	"strings"
 	"testing"
@@ -78,77 +77,18 @@ func TestWritePrometheusFamilyGrouping(t *testing.T) {
 	}
 }
 
-const goldenJSON = `{
-  "counters": {
-    "eed_test_errors_total{class=\"numeric\"}": 1,
-    "eed_test_errors_total{class=\"parse\"}": 3,
-    "eed_test_hits_total": 7
-  },
-  "gauges": {
-    "eed_test_entries": 42
-  },
-  "histograms": {
-    "eed_test_latency_ns": {
-      "buckets": [
-        {
-          "le": "10",
-          "count": 1
-        },
-        {
-          "le": "100",
-          "count": 2
-        },
-        {
-          "le": "1000",
-          "count": 3
-        },
-        {
-          "le": "+Inf",
-          "count": 4
-        }
-      ],
-      "sum": 5555,
-      "count": 4,
-      "p50": 100,
-      "p95": 1000,
-      "p99": 1000
-    }
-  }
-}
-`
-
-func TestWriteJSONGolden(t *testing.T) {
-	var sb strings.Builder
-	if err := goldenRegistry().WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
-	if got != goldenJSON {
-		t.Errorf("JSON dump mismatch:\n--- got ---\n%s--- want ---\n%s", got, goldenJSON)
-	}
-	// And it must actually be valid JSON.
-	var v map[string]any
-	if err := json.Unmarshal([]byte(got), &v); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-}
-
+// TestDumpPrometheusFiles: every dump path gets the text exposition,
+// a .json one included.
 func TestDumpPrometheusFiles(t *testing.T) {
 	r := goldenRegistry()
 	dir := t.TempDir()
-	txt := dir + "/metrics.prom"
-	if err := r.DumpPrometheus(txt); err != nil {
-		t.Fatal(err)
-	}
-	jsonPath := dir + "/metrics.json"
-	if err := r.DumpPrometheus(jsonPath); err != nil {
-		t.Fatal(err)
-	}
-	tb, jb := mustRead(t, txt), mustRead(t, jsonPath)
-	if tb != goldenPrometheus {
-		t.Errorf(".prom dump differs from WritePrometheus")
-	}
-	if jb != goldenJSON {
-		t.Errorf(".json dump differs from WriteJSON")
+	for _, name := range []string{"metrics.prom", "metrics.json"} {
+		path := dir + "/" + name
+		if err := r.DumpPrometheus(path); err != nil {
+			t.Fatal(err)
+		}
+		if got := mustRead(t, path); got != goldenPrometheus {
+			t.Errorf("%s dump differs from WritePrometheus:\n%s", name, got)
+		}
 	}
 }

@@ -369,10 +369,6 @@ func (f *FlightRecorder) Captures() []WideEvent {
 	return out
 }
 
-// defaultFlight is the process-wide recorder, shared by eedsrv and the
-// engine pipeline the way Default() is shared by metric sites.
-var defaultFlight atomic.Pointer[FlightRecorder]
-
 // Sizes of the process-wide recorder: enough ring to hold a burst worth
 // of requests and enough captures to debug one incident, at ~300 KiB
 // total resident cost.
@@ -381,18 +377,12 @@ const (
 	DefaultFlightCaptures = 64
 )
 
-func init() { defaultFlight.Store(NewFlightRecorder(DefaultFlightEvents, DefaultFlightCaptures, 0)) }
+// defaultFlight is the process-wide recorder, shared by eedsrv and the
+// engine pipeline the way Default() is shared by metric sites.
+var defaultFlight = NewFlightRecorder(DefaultFlightEvents, DefaultFlightCaptures, 0)
 
 // DefaultFlight returns the process-wide flight recorder.
-func DefaultFlight() *FlightRecorder { return defaultFlight.Load() }
-
-// SetDefaultFlight swaps the process-wide recorder (e.g. to resize the
-// ring from a CLI flag before serving).
-func SetDefaultFlight(f *FlightRecorder) {
-	if f != nil {
-		defaultFlight.Store(f)
-	}
-}
+func DefaultFlight() *FlightRecorder { return defaultFlight }
 
 // eventKey carries a *WideEvent through a context.
 type eventKey struct{}

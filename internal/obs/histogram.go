@@ -37,11 +37,8 @@ func newHistogram(name, help string, bounds []int64) *Histogram {
 	}
 }
 
-// Observe records one sample while instrumentation is on.
+// Observe records one sample.
 func (h *Histogram) Observe(v int64) {
-	if !On() {
-		return
-	}
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++

@@ -1,53 +1,33 @@
 package obs
 
 import (
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
-func TestHandlerPrometheusAndJSON(t *testing.T) {
+func TestHandlerPrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("eed_test_requests_total", "test counter").Add(3)
 
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 
-	get := func(url string) (int, string, string) {
-		resp, err := srv.Client().Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var b strings.Builder
-		buf := make([]byte, 4096)
-		for {
-			n, err := resp.Body.Read(buf)
-			b.Write(buf[:n])
-			if err != nil {
-				break
-			}
-		}
-		return resp.StatusCode, resp.Header.Get("Content-Type"), b.String()
+	resp, err := srv.Client().Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != 200 || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/plain") {
+		t.Fatalf("GET: code=%d ctype=%q err=%v", resp.StatusCode, resp.Header.Get("Content-Type"), err)
+	}
+	if !strings.Contains(string(body), "eed_test_requests_total 3") {
+		t.Fatalf("exposition missing counter:\n%s", body)
 	}
 
-	code, ctype, body := get(srv.URL)
-	if code != 200 || !strings.HasPrefix(ctype, "text/plain") {
-		t.Fatalf("text form: code=%d ctype=%q", code, ctype)
-	}
-	if !strings.Contains(body, "eed_test_requests_total 3") {
-		t.Fatalf("text exposition missing counter:\n%s", body)
-	}
-
-	code, ctype, body = get(srv.URL + "?format=json")
-	if code != 200 || !strings.HasPrefix(ctype, "application/json") {
-		t.Fatalf("json form: code=%d ctype=%q", code, ctype)
-	}
-	if !strings.Contains(body, `"eed_test_requests_total": 3`) {
-		t.Fatalf("json exposition missing counter:\n%s", body)
-	}
-
-	resp, err := srv.Client().Post(srv.URL, "text/plain", strings.NewReader("x"))
+	resp, err = srv.Client().Post(srv.URL, "text/plain", strings.NewReader("x"))
 	if err != nil {
 		t.Fatal(err)
 	}

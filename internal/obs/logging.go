@@ -8,12 +8,13 @@ import (
 )
 
 // NewLogger opens a structured JSON logger writing to path ("-" means
-// stdout; anything else is created/appended). The returned closer is nil
-// for stdout. Callers own closing; eedd closes it after the drain
-// completes so the "drained" lifecycle event is flushed.
+// stdout; anything else is created/appended). The returned closer is
+// never nil; for stdout it closes nothing. Callers own closing; eedd
+// closes it after the drain completes so the "drained" lifecycle event
+// is flushed.
 func NewLogger(path string) (*slog.Logger, io.Closer, error) {
 	if path == "-" {
-		return slog.New(slog.NewJSONHandler(os.Stdout, nil)), nil, nil
+		return slog.New(slog.NewJSONHandler(os.Stdout, nil)), io.NopCloser(os.Stdout), nil
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {

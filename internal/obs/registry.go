@@ -41,7 +41,7 @@ func familyOf(name string) string {
 }
 
 // Counter is a monotonically increasing counter. Inc/Add are single
-// atomic adds, skipped while instrumentation is off.
+// atomic adds.
 type Counter struct {
 	name, help string
 	v          atomic.Uint64
@@ -51,11 +51,7 @@ type Counter struct {
 func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n.
-func (c *Counter) Add(n uint64) {
-	if On() {
-		c.v.Add(n)
-	}
-}
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
@@ -64,21 +60,14 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 func (c *Counter) Name() string { return c.name }
 
 // Gauge is a value that can go up and down. All mutators are single
-// atomic operations. Set is skipped while instrumentation is off; the
-// relative mutators are not, because an Inc must meet its Dec even when
-// the switch flips between them — callers that pair them read On() once
-// and gate both.
+// atomic operations.
 type Gauge struct {
 	name, help string
 	v          atomic.Int64
 }
 
 // Set stores v.
-func (g *Gauge) Set(v int64) {
-	if On() {
-		g.v.Store(v)
-	}
-}
+func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add adds d (negative to decrease).
 func (g *Gauge) Add(d int64) { g.v.Add(d) }

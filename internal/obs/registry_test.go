@@ -135,17 +135,3 @@ func TestHistogramBuckets(t *testing.T) {
 		t.Errorf("Count/Sum accessors disagree with snapshot")
 	}
 }
-
-func TestEnabledSwitch(t *testing.T) {
-	if !On() {
-		t.Fatal("instrumentation must default to on")
-	}
-	SetEnabled(false)
-	if On() {
-		t.Fatal("SetEnabled(false) must turn On() off")
-	}
-	SetEnabled(true)
-	if !On() {
-		t.Fatal("SetEnabled(true) must turn On() back on")
-	}
-}

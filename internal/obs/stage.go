@@ -9,14 +9,15 @@ import (
 // it starts and once when it ends, and sends that one duration to every
 // sink the layer has:
 //
-//   - its histogram, while instrumentation is on;
+//   - its histogram, if it has one;
 //   - the wide event carried by the context, when the stage is the
 //     event's outermost open stage: nested layers stay out of the event,
 //     so an event's stages partition its total instead of counting it
 //     twice. An event nobody has stamped takes its start time from its
 //     first stage.
 //
-// A stage with no sink to feed reads no clock at all. A Stage belongs to
+// A stage with no sink to feed (no histogram, and no event or one
+// already inside a stage) reads no clock at all. A Stage belongs to
 // the goroutine that started it, like the wide event it may write, and
 // must be ended on every path: until it ends, later stages of the same
 // event stay out of the event.
@@ -35,7 +36,7 @@ func StartStage(ctx context.Context, name string, hist *Histogram) Stage {
 		ev.inStage = true
 		s.ev = ev
 	}
-	if s.ev == nil && (hist == nil || !On()) {
+	if s.ev == nil && hist == nil {
 		return s
 	}
 	s.t0 = now()
@@ -47,10 +48,9 @@ func StartStage(ctx context.Context, name string, hist *Histogram) Stage {
 
 // Time opens a stage that feeds hist alone: a layer with no wide-event
 // stage of its own, such as a pass nested inside a stage that has one or
-// a call that carries no context. It reads the clock only while
-// instrumentation is on.
+// a call that carries no context. With a nil hist it reads no clock.
 func Time(hist *Histogram) Stage {
-	if hist == nil || !On() {
+	if hist == nil {
 		return Stage{}
 	}
 	return Stage{hist: hist, t0: now()}

@@ -49,25 +49,75 @@ func TestStageOneReadFeedsEverySink(t *testing.T) {
 	}
 }
 
-// TestStageOffReadsNoClock: with instrumentation off and no event in the
-// context, a stage — histogram or not — never reads the clock and
-// records nothing.
-func TestStageOffReadsNoClock(t *testing.T) {
+// TestStageReadsClockIffItHasASink: a stage reads the clock twice when
+// it has a sink — its histogram, or a wide event with no stage open —
+// and never otherwise, and its one duration reaches exactly those sinks.
+func TestStageReadsClockIffItHasASink(t *testing.T) {
 	reads := countingClock(t)
-	SetEnabled(false)
-	defer SetEnabled(true)
-	h := NewRegistry().Histogram("stage_ns", "test", DefaultLatencyBuckets)
-
-	before := reads()
-	st := StartStage(context.Background(), "sums", h)
-	st.End()
-	tm := Time(h)
-	tm.End()
-	if got := reads() - before; got != 0 {
-		t.Errorf("disabled stages read the clock %d times, want 0", got)
+	for _, c := range []struct {
+		name       string
+		hist, time bool   // with a histogram; opened by Time instead of StartStage
+		ev         string // the context's event: "", "free" or "busy" (inside a stage)
+		reads      int
+		toEvent    bool
+	}{
+		{"no sink", false, false, "", 0, false},
+		{"histogram", true, false, "", 2, false},
+		{"free event", false, false, "free", 2, true},
+		{"histogram and free event", true, false, "free", 2, true},
+		{"busy event", false, false, "busy", 0, false},
+		{"histogram and busy event", true, false, "busy", 2, false},
+		{"Time(nil)", false, true, "", 0, false},
+		{"Time(h)", true, true, "", 2, false},
+	} {
+		var h *Histogram
+		if c.hist {
+			h = NewRegistry().Histogram("stage_ns", "test", DefaultLatencyBuckets)
+		}
+		ev := &WideEvent{inStage: c.ev == "busy"}
+		ctx := context.Background()
+		if c.ev != "" {
+			ctx = WithEvent(ctx, ev)
+		}
+		before := reads()
+		var st Stage
+		if c.time {
+			st = Time(h)
+		} else {
+			st = StartStage(ctx, "layer", h)
+		}
+		d := st.End()
+		if got := reads() - before; got != c.reads || d != time.Duration(c.reads/2)*time.Millisecond {
+			t.Errorf("%s: %d clock reads measured %v, want %d", c.name, got, d, c.reads)
+		}
+		if c.hist && (h.Count() != 1 || h.Sum() != int64(d)) {
+			t.Errorf("%s: histogram holds %d samples summing %d, want one of %d", c.name, h.Count(), h.Sum(), int64(d))
+		}
+		if got := len(ev.Stages()) == 1 && ev.Stages()[0].NS == int64(d); got != c.toEvent {
+			t.Errorf("%s: event stages %+v, want the duration there: %v", c.name, ev.Stages(), c.toEvent)
+		}
 	}
-	if h.Count() != 0 {
-		t.Errorf("disabled stages recorded %d samples", h.Count())
+}
+
+// TestMetricWritesAllocateNothing: the metric writes a sweep makes —
+// counter and gauge moves, a histogram sample, a stage on a context with
+// no event, Time with End — allocate nothing.
+func TestMetricWritesAllocateNothing(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("c_total", "test")
+	g := r.Gauge("g", "test")
+	h := r.Histogram("h_ns", "test", DefaultLatencyBuckets)
+	ctx := context.Background()
+	for name, write := range map[string]func(){
+		"Counter.Inc":       c.Inc,
+		"Gauge.Inc/Dec/Set": func() { g.Inc(); g.Dec(); g.Set(7) },
+		"Histogram.Observe": func() { h.Observe(1234) },
+		"StartStage":        func() { st := StartStage(ctx, "sums", h); st.End() },
+		"Time":              func() { st := Time(h); st.End() },
+	} {
+		if got := testing.AllocsPerRun(100, write); got != 0 {
+			t.Errorf("%s: %.0f allocations, want 0", name, got)
+		}
 	}
 }
 
