@@ -167,6 +167,16 @@ func TestE2EExitCodes(t *testing.T) {
 	}
 }
 
+// TestE2ETimeoutIsCanceled: a deadline that fires while the generator is
+// still writing reaches the parser as a failed read, and is reported as
+// canceled, not as a parse error.
+func TestE2ETimeoutIsCanceled(t *testing.T) {
+	code, _, stderr := runCLI(t, "-synth", "200", "-timeout", "1ns")
+	if code != 1 || !strings.Contains(stderr, "[canceled]") {
+		t.Fatalf("exit %d, stderr %s; want exit 1 and a [canceled] error", code, stderr)
+	}
+}
+
 // TestSynthGenParses: the generator's output is valid SPEF the pipeline
 // fully accepts, for a spread of sizes including single-section nets.
 func TestSynthGenParses(t *testing.T) {

@@ -184,6 +184,17 @@ func TestScanErrorPassesThroughReadFailure(t *testing.T) {
 	if errors.Is(err, bufio.ErrTooLong) {
 		t.Fatal("plain read error misclassified as too-long")
 	}
+	// A read that failed with a classed error, such as a reader canceled
+	// under guard, keeps its class.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, readErr := range []error{Check(ctx), fmt.Errorf("wrapped: %w", Check(ctx)), New(ErrLimit, "reader", ioErr)} {
+		err := lim.ScanError("test.Parse", 3, readErr)
+		if Class(err) != Class(readErr) || !errors.Is(err, readErr) || !strings.HasPrefix(err.Error(), "test.Parse: ") {
+			t.Errorf("ScanError(%v) = %v, want class %v, the read error wrapped and the parser named",
+				readErr, err, Class(readErr))
+		}
+	}
 }
 
 func TestCheckCount(t *testing.T) {

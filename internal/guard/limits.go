@@ -84,8 +84,10 @@ func (l Limits) NewScanner(r io.Reader) *bufio.Scanner {
 
 // ScanError translates the terminal error of a NewScanner scan loop into
 // a typed error: bufio.ErrTooLong becomes ErrLimit naming the bound (line
-// is the 1-based number of the offending line), any other read failure is
-// passed through as an ErrParse-classed read error, and nil stays nil.
+// is the 1-based number of the offending line), a read failure that
+// already carries a class (a reader canceled under guard, say) keeps it,
+// any other read failure is passed through as an ErrParse-classed read
+// error, and nil stays nil.
 func (l Limits) ScanError(op string, line int, err error) error {
 	if err == nil {
 		return nil
@@ -93,6 +95,10 @@ func (l Limits) ScanError(op string, line int, err error) error {
 	if errors.Is(err, bufio.ErrTooLong) {
 		countLimitTrip("line-bytes")
 		return Newf(ErrLimit, op, "input line longer than %d bytes", l.WithDefaults().MaxLineBytes).WithLine(line + 1)
+	}
+	if class := Class(err); class != nil {
+		// Counted where it was made; this only names the reader.
+		return &Error{Class: class, Op: op, Err: fmt.Errorf("read: %w", err)}
 	}
 	return New(ErrParse, op, fmt.Errorf("read: %w", err))
 }

@@ -262,14 +262,6 @@ func (f *FlightRecorder) Len() int {
 	return len(f.slots)
 }
 
-// SlowThreshold returns the capture threshold.
-func (f *FlightRecorder) SlowThreshold() time.Duration {
-	if f == nil {
-		return 0
-	}
-	return time.Duration(f.slowNS)
-}
-
 // Record stores one finished event in the ring and returns its sequence
 // number. If the event is interesting — an error status, a non-empty
 // guard class, or slower than the capture threshold — it also lands in

@@ -54,12 +54,9 @@ func (t *Tree) Gen() uint64 { return t.gen }
 // tree edited around it.
 func (t *Tree) StructuralSince(gen uint64) bool { return t.lastStructGen > gen }
 
-// bump records one mutation: the generation moves and the cached
-// fingerprint is dropped.
-func (t *Tree) bump() {
-	t.gen++
-	t.invalidateFingerprint()
-}
+// bump records one mutation. Moving the generation is all it takes to
+// drop the cached fingerprint, which is kept for one generation only.
+func (t *Tree) bump() { t.gen++ }
 
 // bumpStructural records a topology change: a bump that StructuralSince
 // reports.

@@ -56,11 +56,3 @@ func (t *Tree) Fingerprint() Fingerprint {
 	t.fpGen, t.fpValid = t.gen, true
 	return t.fp
 }
-
-// invalidateFingerprint drops the cached fingerprint; called by every
-// mutation under the tree's single-writer discipline.
-func (t *Tree) invalidateFingerprint() {
-	t.fpMu.Lock()
-	t.fpValid = false
-	t.fpMu.Unlock()
-}

@@ -114,3 +114,36 @@ func TestFingerprintGraftResegment(t *testing.T) {
 		t.Fatal("grafted tree kept the fingerprint")
 	}
 }
+
+// TestFingerprintAfterStructuralEdits: the generation alone retires a
+// cached fingerprint, so after each structural edit of a tree whose
+// fingerprint was just cached, the fingerprint must equal that of a fresh
+// FromParents build of the same content.
+func TestFingerprintAfterStructuralEdits(t *testing.T) {
+	tr := randomTree(rand.New(rand.NewSource(11)), 30)
+	check := func(op string, tr *Tree) {
+		t.Helper()
+		if tr.Fingerprint() != rebuild(t, tr).Fingerprint() {
+			t.Fatalf("after %s the fingerprint differs from a fresh build's", op)
+		}
+	}
+	check("construction", tr)
+	if _, err := tr.AttachLeaf("leaf", tr.Sections()[5], 1, 1e-9, 1e-15); err != nil {
+		t.Fatal(err)
+	}
+	check("AttachLeaf", tr)
+	sub, err := tr.Detach(tr.Sections()[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Detach", tr)
+	check("Detach (the subtree)", sub)
+	if _, err := tr.AttachSubtree(tr.Sections()[0], sub); err != nil {
+		t.Fatal(err)
+	}
+	check("AttachSubtree", tr)
+	if _, err := tr.SplitSection(tr.Sections()[2], 3); err != nil {
+		t.Fatal(err)
+	}
+	check("SplitSection", tr)
+}

@@ -138,6 +138,17 @@ func TestFromParentsAttachLeafKeepsSiblings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireAttachKeepsSiblings(t, tr)
+
+	rng := rand.New(rand.NewSource(7))
+	ref := randomTree(rng, 40)
+	editInStep(t, ref, rebuild(t, ref), rng)
+}
+
+// requireAttachKeepsSiblings attaches leaves under b, a and d of the
+// six-section tree a(b(d, e), c(f)) and checks every children list.
+func requireAttachKeepsSiblings(t *testing.T, tr *Tree) {
+	t.Helper()
 	for _, under := range []string{"b", "a", "d"} {
 		if _, err := tr.AttachLeaf("x"+under, tr.Section(under), 1, 0, 1); err != nil {
 			t.Fatal(err)
@@ -154,10 +165,13 @@ func TestFromParentsAttachLeafKeepsSiblings(t *testing.T) {
 		}
 	}
 	checkTreeInvariants(t, tr)
+}
 
-	rng := rand.New(rand.NewSource(7))
-	ref := randomTree(rng, 40)
-	fast := rebuild(t, ref)
+// editInStep runs 200 random structural edits, drawn from rng, on ref
+// and on fast, an equal tree built another way, and requires the two to
+// stay equal.
+func editInStep(t *testing.T, ref, fast *Tree, rng *rand.Rand) {
+	t.Helper()
 	for op := 0; op < 200; op++ {
 		secs := ref.Sections()
 		at := secs[rng.Intn(len(secs))].Name()
@@ -188,7 +202,7 @@ func TestFromParentsAttachLeafKeepsSiblings(t *testing.T) {
 			_, errRef := ref.SplitSection(ref.Section(at), 2)
 			_, errFast := fast.SplitSection(fast.Section(at), 2)
 			if (errRef == nil) != (errFast == nil) {
-				t.Fatalf("SplitSection(%s): AddSection tree err = %v, FromParents tree err = %v", at, errRef, errFast)
+				t.Fatalf("SplitSection(%s): reference tree err = %v, other tree err = %v", at, errRef, errFast)
 			}
 		}
 		checkTreeInvariants(t, fast)

@@ -11,7 +11,8 @@ import (
 )
 
 // FuzzParse drives the tree text parser with arbitrary inputs: no panics,
-// and accepted trees must round-trip through Format.
+// the slow twin's tree or the slow twin's error under tight and default
+// limits, and accepted trees must round-trip through Format.
 func FuzzParse(f *testing.F) {
 	f.Add("s1 - 25 5n 50f\ns2 s1 25 5n 50f\n")
 	f.Add("# comment\na - 1 0 0\n")
@@ -21,7 +22,12 @@ func FuzzParse(f *testing.F) {
 	// Limit-exercising seeds: an over-long line and a deep chain.
 	f.Add("a - 1 1 1 " + strings.Repeat("#", 1<<17) + "\n")
 	f.Add(chainSeed(40))
+	for _, in := range parseCases {
+		f.Add(in)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
+		requireSameParse(t, input, guard.Limits{MaxLineBytes: 256, MaxSections: 16})
+		requireSameParse(t, input, guard.Limits{})
 		// Under guard.Run with tight limits the parser must never panic
 		// and every failure must carry a guard class.
 		gerr := guard.Run(context.Background(), func(context.Context) error {

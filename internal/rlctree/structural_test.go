@@ -398,7 +398,7 @@ func TestRandomStructuralOpsKeepInvariants(t *testing.T) {
 	// Cross-check the O(n) sums against the brute-force definition on the
 	// final topology.
 	sums := tr.ElmoreSums()
-	brute := tr.ElmoreSumsBrute()
+	brute := tr.elmoreSumsBrute()
 	for i := range sums.SR {
 		if math.Abs(sums.SR[i]-brute.SR[i]) > 1e-18+1e-12*math.Abs(brute.SR[i]) {
 			t.Fatalf("node %d: SR %g != brute %g", i, sums.SR[i], brute.SR[i])

@@ -78,43 +78,3 @@ func (t *Tree) ElmoreSums() Sums {
 	}
 	return sums
 }
-
-// CommonPath returns the resistance and inductance common to the paths
-// from the input to sections a and b: R_ab = Σ_{w ∈ path(a)∩path(b)} R_w
-// and likewise L_ab. This is the O(depth) primitive underlying the direct
-// definition of the summations; it is retained for tests and for callers
-// that need a single pair rather than the whole tree.
-func CommonPath(a, b *Section) (r, l float64) {
-	onPathA := make(map[*Section]bool)
-	for p := a; p != nil; p = p.parent {
-		onPathA[p] = true
-	}
-	for p := b; p != nil; p = p.parent {
-		if onPathA[p] {
-			r += p.R()
-			l += p.L()
-		}
-	}
-	return r, l
-}
-
-// ElmoreSumsBrute computes the same summations as ElmoreSums directly from
-// the definition S_R(i) = Σ_k C_k R_ik in O(n²·depth) time. It exists to
-// cross-check the O(n) recursive algorithm in tests and to document the
-// definition; use ElmoreSums in production code.
-func (t *Tree) ElmoreSumsBrute() Sums {
-	n := len(t.sections)
-	sums := Sums{
-		SR:   make([]float64, n),
-		SL:   make([]float64, n),
-		Ctot: t.DownstreamCaps(),
-	}
-	for i, si := range t.sections {
-		for _, sk := range t.sections {
-			r, l := CommonPath(si, sk)
-			sums.SR[i] += sk.C() * r
-			sums.SL[i] += sk.C() * l
-		}
-	}
-	return sums
-}

@@ -191,9 +191,8 @@ func checkValues(name string, r, l, c float64) error {
 // here with the same error; the generation is bumped once.
 //
 // The tree takes ownership of parent, r, l and c; names is only read.
-// Every Section comes from one slab, and every children slice is a capped
-// window of one shared array, so a later append under a section
-// reallocates instead of writing into a sibling's window.
+// Every Section comes from one slab, and children are linked once (see
+// link).
 func FromParents(names []string, parent []int32, r, l, c []float64) (*Tree, error) {
 	n := len(names)
 	if len(parent) != n || len(r) != n || len(l) != n || len(c) != n {
@@ -209,45 +208,74 @@ func FromParents(names []string, parent []int32, r, l, c []float64) (*Tree, erro
 		parentIdx: parent,
 	}
 	slab := make([]Section, n)
-	nkids := make([]int32, n) // children per section
-	var nonRoots int
 	for i, name := range names {
-		if name == "" {
-			return nil, fmt.Errorf("rlctree: section name must be non-empty")
-		}
 		s := &slab[i]
-		// One hash per name: a duplicate leaves the map a name short.
-		if t.byName[name] = s; len(t.byName) != i+1 {
-			return nil, fmt.Errorf("rlctree: duplicate section name %q", name)
-		}
-		p := parent[i]
-		if p < -1 || int(p) >= i {
-			return nil, fmt.Errorf("rlctree: section %q has parent index %d outside [-1, %d)", name, p, i)
-		}
-		if err := checkValues(name, r[i], l[i], c[i]); err != nil {
+		if err := t.admit(s, i, name, parent[i], r[i], l[i], c[i]); err != nil {
 			return nil, err
 		}
-		s.name, s.index, s.tree = name, i, t
-		if p >= 0 {
+		if p := parent[i]; p >= 0 {
 			s.parent = &slab[p]
-			nkids[p]++
-			nonRoots++
 		}
 		t.sections[i] = s
 	}
-	kids := make([]*Section, nonRoots)
-	var off int32
-	for i, k := range nkids {
-		slab[i].children = kids[off : off : off+k]
-		off += k
+	t.link()
+	return t, nil
+}
+
+// A bulk build (FromParents, ParseLimits) makes a tree in one pass over
+// its sections in index order. It carves each Section from a slab, admits
+// it with AddSection's checks, points it at its parent, and links the
+// children of every section once, after the last one.
+
+// admit checks section i of a bulk build as AddSection would, in its
+// order and with its messages — a non-empty, unused name, then a parent
+// index in [-1, i), then finite non-negative values — and makes s that
+// section: named, indexed, owned by t and found by name. Its parent and
+// the element arrays are the builder's to fill.
+func (t *Tree) admit(s *Section, i int, name string, p int32, r, l, c float64) error {
+	if name == "" {
+		return fmt.Errorf("rlctree: section name must be non-empty")
 	}
-	for i, p := range parent {
+	// One hash per name: a duplicate leaves the map a name short.
+	if t.byName[name] = s; len(t.byName) != i+1 {
+		return fmt.Errorf("rlctree: duplicate section name %q", name)
+	}
+	if p < -1 || int(p) >= i {
+		return fmt.Errorf("rlctree: section %q has parent index %d outside [-1, %d)", name, p, i)
+	}
+	if err := checkValues(name, r, l, c); err != nil {
+		return err
+	}
+	s.name, s.index, s.tree = name, i, t
+	return nil
+}
+
+// link finishes a bulk build: it gives every section its children, in
+// index order, and bumps the generation once. The children slices are
+// capped windows of one shared array, so a later append under a section
+// reallocates instead of writing into a sibling's window.
+func (t *Tree) link() {
+	nkids := make([]int32, len(t.sections))
+	nonRoots := 0
+	for _, p := range t.parentIdx {
 		if p >= 0 {
-			slab[p].children = append(slab[p].children, &slab[i])
+			nkids[p]++
+			nonRoots++
+		}
+	}
+	kids := make([]*Section, nonRoots)
+	off := 0
+	for i, k := range nkids {
+		t.sections[i].children = kids[off : off : off+int(k)]
+		off += int(k)
+	}
+	for i, p := range t.parentIdx {
+		if p >= 0 {
+			ps := t.sections[p]
+			ps.children = append(ps.children, t.sections[i])
 		}
 	}
 	t.bumpStructural()
-	return t, nil
 }
 
 // MustAddSection is AddSection that panics on error, for use in builders
@@ -330,16 +358,4 @@ func (t *Tree) TotalCap() float64 {
 		sum += c
 	}
 	return sum
-}
-
-// HasInductance reports whether any section has a non-zero inductance.
-// Pure RC trees (L = 0 everywhere) degenerate the second-order model to
-// the classical Elmore/Wyatt first-order form.
-func (t *Tree) HasInductance() bool {
-	for _, l := range t.l {
-		if l != 0 {
-			return true
-		}
-	}
-	return false
 }

@@ -107,9 +107,6 @@ func TestTreeNavigation(t *testing.T) {
 	if got, want := tr.TotalCap(), 7*50e-15; math.Abs(got-want) > 1e-25 {
 		t.Fatalf("TotalCap = %g, want %g", got, want)
 	}
-	if !tr.HasInductance() {
-		t.Fatal("HasInductance should be true")
-	}
 	if !strings.Contains(s[6].String(), "parent=s3") {
 		t.Fatalf("String: %q", s[6].String())
 	}
@@ -150,19 +147,19 @@ func TestElmoreSumsFig5ByHand(t *testing.T) {
 func TestCommonPath(t *testing.T) {
 	_, s := fig5Tree(t)
 	// s4 and s7 share only the trunk.
-	r, l := CommonPath(s[3], s[6])
+	r, l := commonPath(s[3], s[6])
 	if r != 25 || l != 5e-9 {
-		t.Fatalf("CommonPath(s4,s7) = %g,%g want trunk only", r, l)
+		t.Fatalf("commonPath(s4,s7) = %g,%g want trunk only", r, l)
 	}
 	// s4 and s5 share trunk + s2.
-	r, _ = CommonPath(s[3], s[4])
+	r, _ = commonPath(s[3], s[4])
 	if r != 50 {
-		t.Fatalf("CommonPath(s4,s5) R = %g, want 50", r)
+		t.Fatalf("commonPath(s4,s5) R = %g, want 50", r)
 	}
 	// A node with itself: its whole path.
-	r, _ = CommonPath(s[6], s[6])
+	r, _ = commonPath(s[6], s[6])
 	if r != 75 {
-		t.Fatalf("CommonPath(s7,s7) R = %g, want 75", r)
+		t.Fatalf("commonPath(s7,s7) R = %g, want 75", r)
 	}
 }
 
@@ -197,7 +194,7 @@ func TestElmoreSumsMatchesBruteProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomTree(rng, 2+rng.Intn(40))
 		fast := tr.ElmoreSums()
-		brute := tr.ElmoreSumsBrute()
+		brute := tr.elmoreSumsBrute()
 		for i := range fast.SR {
 			if !close(fast.SR[i], brute.SR[i], 1e-10) || !close(fast.SL[i], brute.SL[i], 1e-10) {
 				return false

@@ -5,13 +5,16 @@ import (
 	"testing"
 )
 
-// FuzzParse: the engineering-notation parser must never panic and must
-// only return finite values (or an error) for arbitrary input.
+// FuzzParse: the engineering-notation parser must never panic, must
+// only return finite values (or an error) for arbitrary input, and must
+// agree with its slow twin on every input: the same bits or the same
+// error text.
 func FuzzParse(f *testing.F) {
-	for _, s := range []string{"10", "4.7k", "0.5MEG", "25n", "10pF", "1e-9", "-3m", "", "k", "1.2.3", "+", "1e"} {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
+		requireSameAsTwin(t, input)
 		v, err := Parse(input)
 		if err != nil {
 			return

@@ -30,6 +30,10 @@ var suffixes = []struct {
 
 // Parse converts a SPICE-style value string to a float64.
 // Examples: "10", "4.7k", "0.5MEG", "25n", "10pF", "1e-9".
+//
+// s does not escape: only an error copies it, so a caller holding bytes
+// can pass string(b) without allocating for a lower-case field of up to
+// 32 bytes.
 func Parse(s string) (float64, error) {
 	s = strings.TrimSpace(strings.ToLower(s))
 	if s == "" {
@@ -54,11 +58,11 @@ func Parse(s string) (float64, error) {
 		break
 	}
 	if end == 0 {
-		return 0, fmt.Errorf("unit: %q has no numeric prefix", s)
+		return 0, fmt.Errorf("unit: %q has no numeric prefix", strings.Clone(s))
 	}
 	v, err := strconv.ParseFloat(s[:end], 64)
 	if err != nil {
-		return 0, fmt.Errorf("unit: %q: %w", s, err)
+		return 0, fmt.Errorf("unit: %q: %w", strings.Clone(s), err)
 	}
 	rest := s[end:]
 	if rest == "" {
@@ -72,7 +76,8 @@ func Parse(s string) (float64, error) {
 	// No metric suffix: tolerate pure unit letters (ohm, F, H, V, s).
 	for _, c := range rest {
 		if !strings.ContainsRune("ohmfhvs", c) {
-			return 0, fmt.Errorf("unit: %q has unrecognized suffix %q", s, rest)
+			cp := strings.Clone(s)
+			return 0, fmt.Errorf("unit: %q has unrecognized suffix %q", cp, cp[end:])
 		}
 	}
 	return v, nil
