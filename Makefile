@@ -6,7 +6,7 @@ FUZZTIME ?= 10s
 BENCH ?= .
 BENCHTIME ?= 1s
 
-.PHONY: all build test check vet race perfbench fuzz-smoke bench service-bench chaos-soak chip-bench
+.PHONY: all build test check vet race perfbench fuzz-smoke bench service-bench chaos-soak chip-bench loc
 
 all: build
 
@@ -48,6 +48,12 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./internal/eedsrv/
 	$(GO) test -run=NONE -fuzz=FuzzParseFaultSpec -fuzztime=$(FUZZTIME) ./internal/faultinj/
 	$(GO) test -run=NONE -fuzz=FuzzScaledInverse -fuzztime=$(FUZZTIME) ./internal/core/
+
+# loc: Go line counts (blank and comment lines included) under internal/
+# and cmd/, without and with tests — the tally a deletion is measured by.
+loc:
+	@echo "non-test:   $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "with tests: $$(find internal cmd -name '*.go' -exec cat {} + | wc -l)"
 
 # bench: quick interactive benchmark run (BENCH selects a pattern).
 bench:

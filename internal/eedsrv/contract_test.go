@@ -60,30 +60,32 @@ func newContractServer(t *testing.T) *Server {
 
 // contractSubs computes the fingerprint placeholders fixture requests
 // use: ${balanced7} is the shared net's key, ${edited} the key after the
-// 05_edit fixture's edit (s4.C = 8e-14). Keeping fixtures symbolic means
-// they survive fingerprint-algorithm changes; the recorded goldens hold
-// the literal hex and are regenerated with -update. ${goversion} is the
-// running toolchain's runtime.Version() — unlike the fingerprints it is
-// substituted in recorded responses too (and reverse-substituted on
-// -update), because CI may run a different Go release than the machine
-// that recorded the golden.
+// 05_edit fixture's edit (s4.C = 8e-14), ${single} the key of the
+// one-section net "a - 25 1n 50f" of fixtures 27–29. Keeping fixtures
+// symbolic means they survive fingerprint-algorithm changes; the
+// recorded goldens hold the literal hex and are regenerated with
+// -update. ${goversion} is the running toolchain's runtime.Version() —
+// unlike the fingerprints it is substituted in recorded responses too
+// (and reverse-substituted on -update), because CI may run a different
+// Go release than the machine that recorded the golden.
 func contractSubs(t *testing.T) *strings.Replacer {
 	t.Helper()
-	parse := func() *rlctree.Tree {
-		tree, err := rlctree.Parse(strings.NewReader(balanced7))
+	parse := func(text string) *rlctree.Tree {
+		tree, err := rlctree.Parse(strings.NewReader(text))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tree
 	}
-	base := parse()
-	edited := parse()
+	base := parse(balanced7)
+	edited := parse(balanced7)
 	if err := edited.Section("s4").SetC(80e-15); err != nil {
 		t.Fatal(err)
 	}
 	return strings.NewReplacer(
 		"${balanced7}", fingerprintHex(base.Fingerprint()),
 		"${edited}", fingerprintHex(edited.Fingerprint()),
+		"${single}", fingerprintHex(parse("a - 25 1n 50f\n").Fingerprint()),
 		"${goversion}", runtime.Version(),
 	)
 }

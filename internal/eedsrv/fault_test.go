@@ -43,6 +43,35 @@ func doH(t *testing.T, s *Server, method, path string, body any) (int, []byte, h
 	return rec.Code, rec.Body.Bytes(), rec.Result().Header
 }
 
+// TestInjectedNumericEditAppliesNothing: an edit whose analysis fails —
+// here an injected sess.numeric — puts its values back before the registry
+// re-keys, so the net keeps its fingerprint and its answers.
+func TestInjectedNumericEditAppliesNothing(t *testing.T) {
+	s := newTestServer(t, Options{})
+	info := register(t, s, balanced7)
+	query := func() []byte {
+		t.Helper()
+		code, raw := do(t, s, "POST", "/v1/delay", DelayRequest{Net: info.Net, Node: "s7"})
+		if code != 200 {
+			t.Fatalf("delay by the pre-edit key: status %d: %s", code, raw)
+		}
+		return raw
+	}
+	before := query()
+	armFaults(t, "sess.numeric:p=1,n=1")
+	code, raw := do(t, s, "POST", "/v1/edit", EditRequest{
+		Net:   info.Net,
+		Edits: []EditSpec{{Node: "s4", Elem: "C", Value: 80e-15}, {Node: "s2", Elem: "R", Value: 30}},
+		Node:  "s7",
+	})
+	if code != 422 || decodeAs[ErrorResponse](t, raw).Error.Class != "numeric" {
+		t.Fatalf("edit under sess.numeric: status %d: %s, want 422 numeric", code, raw)
+	}
+	if after := query(); !bytes.Equal(after, before) {
+		t.Fatalf("refused edit changed the answer:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
 // Satellite: every pre-execution rejection must carry Retry-After, the
 // client's proof that the request never ran and is safe to retry even
 // when non-idempotent.

@@ -714,20 +714,20 @@ func (s *Server) handleEdit(ctx context.Context, w http.ResponseWriter, r *http.
 	}
 	var resp EditResponse
 	err = res.Do(func(sess *engine.Session, tr *rlctree.Tree) error {
-		// Whatever happens below, the registry key must track the content:
-		// EditAndAnalyze applies edits in order and keeps the earlier ones
-		// on a mid-batch failure.
+		// Whatever happens below, the registry key must track the content.
 		defer func() {
 			resp.Net = fingerprintHex(s.reg.Rekey(res))
 			obs.EventFrom(ctx).SetNet(resp.Net)
 		}()
 		edits := make([]engine.SectionEdit, len(req.Edits))
+		old := make([]float64, len(req.Edits))
 		for i, e := range req.Edits {
 			sec := tr.Section(e.Node)
 			if sec == nil {
 				return errNotFound("net has no node %q (edit %d)", e.Node, i)
 			}
 			edits[i] = engine.SectionEdit{Section: sec, Elem: elems[i], Value: e.Value}
+			old[i] = [...]float64{sec.R(), sec.L(), sec.C()}[elems[i]]
 		}
 		sink := tr.Section(req.Node)
 		if sink == nil {
@@ -736,12 +736,21 @@ func (s *Server) handleEdit(ctx context.Context, w http.ResponseWriter, r *http.
 		st := obs.StartStage(ctx, "edit", nil)
 		na, err := sess.EditAndAnalyze(ctx, edits, sink)
 		st.End()
+		if err == nil {
+			resp.Result = NodeResultOf(na)
+			err = checkRepresentable(resp.Result)
+		}
 		if err != nil {
+			// An answer that cannot be served applies nothing: put the
+			// values back, last edit first, so the net keeps its content
+			// and its key. They were stored before, so each restore holds.
+			for i := len(edits) - 1; i >= 0; i-- {
+				_ = sess.Set(edits[i].Section, edits[i].Elem, old[i])
+			}
 			return err
 		}
 		annotateDegraded(ctx, na)
 		resp.Applied = len(edits)
-		resp.Result = NodeResultOf(na)
 		return nil
 	})
 	if err != nil {

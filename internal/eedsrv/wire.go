@@ -253,7 +253,8 @@ func NodeResultOf(na core.NodeAnalysis) NodeResult {
 // checkRepresentable returns a numeric-class error when a plain float
 // field of nr is ±Inf or NaN, which JSON cannot carry. A batch item
 // checks its results with it, so that item fails alone instead of the
-// whole response failing to encode.
+// whole response failing to encode; an edit checks its result, so that
+// an answer it cannot serve applies nothing.
 func checkRepresentable(nr NodeResult) error {
 	for _, f := range [...]struct {
 		name string

@@ -31,8 +31,6 @@ var (
 		"Incremental analysis sessions created.")
 	mIncrEdits = obs.Default().Counter("eed_incr_edits_total",
 		"Element edits folded into incremental session state.")
-	mIncrResyncs = obs.Default().Counter("eed_incr_resyncs_total",
-		"Full state rebuilds of a session whose tree was edited around it, not through it.")
 	mIncrQueries = obs.Default().Counter("eed_incr_queries_total",
 		"Single-sink incremental sum queries served.")
 	mIncrQueryLatency = obs.Default().Histogram("eed_incr_query_latency_ns",
@@ -42,20 +40,18 @@ var (
 		"Latency of a whole-tree analysis issued through an incremental session, nanoseconds.",
 		obs.DefaultLatencyBuckets)
 
-	// Structural-incremental metrics (the session's structural edit
-	// wrappers and its resync). The attach/detach/split counters measure
-	// how much topology churn the kernel absorbed in place; structural
-	// resyncs are the failures of that bet — a topology change made on the
-	// tree around the session (or a consumed tree) that forced an O(n)
-	// rebuild.
+	// Structural-incremental metrics (the session's structural edits).
+	// The attach/detach/split counters measure how much topology churn
+	// the kernel absorbed in place; the failures of that bet — a topology
+	// change made on the tree around the session that forced an O(n)
+	// rebuild — are counted by internal/incr, in
+	// eed_incr_structural_resyncs_total.
 	mIncrStructAttaches = obs.Default().Counter("eed_incr_structural_attaches_total",
 		"Attaches (leaf and subtree) folded into incremental session state.")
 	mIncrStructDetaches = obs.Default().Counter("eed_incr_structural_detaches_total",
 		"Detaches folded into incremental session state.")
 	mIncrStructSplits = obs.Default().Counter("eed_incr_structural_splits_total",
 		"Splits folded into incremental session state.")
-	mIncrStructResyncs = obs.Default().Counter("eed_incr_structural_resyncs_total",
-		"Full state rebuilds whose edits made around the session included a structural change.")
 	mIncrStructLatency = obs.Default().Histogram("eed_incr_structural_latency_ns",
 		"Latency of one structural edit applied through a session (tree surgery + incremental fold), nanoseconds.",
 		obs.DefaultLatencyBuckets)

@@ -19,15 +19,15 @@ import (
 // loop of a sizing or repeater-insertion optimizer — pay O(depth) per
 // candidate rather than an O(n) rebuild-and-resweep.
 //
-// Every edit made through the session — SetR/SetL/SetC, EditAndAnalyze,
-// AttachLeaf/AttachSubtree/Detach/SplitSection — runs the tree op and
-// then its twin on the incremental state, so the state never lags the
-// tree: O(depth + |subtree|) per structural edit, which keeps topology
-// optimization loops incremental. The tree may also be edited directly,
-// around the session; the session then finds at its next query that the
-// tree's generation moved without it and rebuilds its state from the
-// tree, one O(n) resync counted in eed_incr_resyncs_total (and in
-// eed_incr_structural_resyncs_total when the topology changed).
+// Every edit made through the session — SetR/SetL/SetC, Set,
+// EditAndAnalyze, AttachLeaf/AttachSubtree/Detach/SplitSection — is one
+// call on its incremental state, which runs the tree op once and repairs
+// its derived arrays: O(depth + |subtree|) per structural edit, which
+// keeps topology optimization loops incremental. The tree may also be
+// edited directly, around the session; the state then finds at its next
+// call that the tree's generation moved without it and rebuilds itself
+// from the tree, one O(n) resync counted in eed_incr_resyncs_total (and
+// in eed_incr_structural_resyncs_total when the topology changed).
 //
 // Query tiers, cheapest first:
 //
@@ -52,8 +52,8 @@ type Session struct {
 	eng  *Engine
 	tree *rlctree.Tree
 	st   *incr.State
-	gen  uint64              // tree generation st reflects
 	full []core.NodeAnalysis // whole-tree result of generation gen; nil when none is held
+	gen  uint64              // tree generation full belongs to
 }
 
 // NewSession returns a standalone incremental session over t. Whole-tree
@@ -74,7 +74,7 @@ func newSession(e *Engine, t *rlctree.Tree) (*Session, error) {
 		e = New(Options{})
 	}
 	mIncrSessions.Inc()
-	return &Session{eng: e, tree: t, st: st, gen: t.Gen()}, nil
+	return &Session{eng: e, tree: t, st: st}, nil
 }
 
 // Tree returns the tree the session analyzes. Mutating it directly is
@@ -85,46 +85,12 @@ func (s *Session) Tree() *rlctree.Tree { return s.tree }
 // Stats returns the incremental kernel's work counters.
 func (s *Session) Stats() incr.Stats { return s.st.Stats() }
 
-// catchUp rebuilds the incremental state from the tree when the tree was
-// edited around the session (its generation moved without the session),
-// dropping the held whole-tree result. Every rebuild counts in
-// eed_incr_resyncs_total, and one whose missed edits include a
-// structural change also counts in eed_incr_structural_resyncs_total
-// (rlctree.Tree.StructuralSince).
-func (s *Session) catchUp() error {
-	if s.gen == s.tree.Gen() {
-		return nil
-	}
-	s.full = nil
-	st, err := incr.New(s.tree)
-	if err != nil {
-		return err
-	}
-	structural := s.tree.StructuralSince(s.gen)
-	s.st = st
-	s.gen = s.tree.Gen()
-	mIncrResyncs.Inc()
-	if structural {
-		mIncrStructResyncs.Inc()
-	}
-	return nil
-}
-
-// inStep reports whether the incremental state reflects the tree as it
-// stands, so that the next tree op can be mirrored into it.
-func (s *Session) inStep() bool { return s.gen == s.tree.Gen() }
-
-// folded finishes an edit whose tree op has succeeded and whose state op
-// returned stateErr. When the state op folded and the tree op moved the
-// generation, the session takes the new generation, drops its held
-// result and reports true. A state op that failed (it cannot, for an op
-// the tree accepted) leaves the session behind the tree, so the next
-// query rebuilds the state and counts a resync.
-func (s *Session) folded(stateErr error) bool {
-	if stateErr != nil || s.gen == s.tree.Gen() {
+// moved reports whether the tree's generation moved since gen. If it
+// did, the held result belongs to an older generation and is dropped.
+func (s *Session) moved(gen uint64) bool {
+	if s.tree.Gen() == gen {
 		return false
 	}
-	s.gen = s.tree.Gen()
 	s.full = nil
 	return true
 }
@@ -136,153 +102,116 @@ func (s *Session) checkSection(sec *rlctree.Section) error {
 	return nil
 }
 
-// SetR edits the series resistance of sec through the session: the tree
-// first, then the incremental state — O(subtree) while the sums are
-// fresh, deferred to the next query after a capacitance edit.
+// SetR edits the series resistance of sec through the session's state:
+// O(subtree) while the sums are fresh, deferred to the next query after a
+// capacitance edit.
 func (s *Session) SetR(sec *rlctree.Section, v float64) error {
-	return s.setElem(sec, rlctree.ElemR, v)
+	return s.Set(sec, rlctree.ElemR, v)
 }
 
 // SetL edits the series inductance of sec; same contract as SetR.
 func (s *Session) SetL(sec *rlctree.Section, v float64) error {
-	return s.setElem(sec, rlctree.ElemL, v)
+	return s.Set(sec, rlctree.ElemL, v)
 }
 
-// SetC edits the node capacitance of sec through the session; the state
-// refolds Ctot along the section's path in O(depth).
+// SetC edits the node capacitance of sec through the session's state,
+// which refolds Ctot along the section's path in O(depth).
 func (s *Session) SetC(sec *rlctree.Section, v float64) error {
-	return s.setElem(sec, rlctree.ElemC, v)
+	return s.Set(sec, rlctree.ElemC, v)
 }
 
-// setElem makes one element edit on the tree and mirrors it into the
-// state. A refused or no-op edit changes neither; an edit made while the
-// session is behind the tree is left to the next query's resync.
-func (s *Session) setElem(sec *rlctree.Section, elem rlctree.Elem, v float64) error {
+// Set makes one element edit of sec through the session's state. A
+// refused or no-op edit changes nothing; one that moves the tree counts
+// in eed_incr_edits_total and drops the held result.
+func (s *Session) Set(sec *rlctree.Section, elem rlctree.Elem, v float64) error {
 	if err := s.checkSection(sec); err != nil {
 		return err
 	}
-	var setTree func(float64) error
-	var setState func(int, float64) error
+	var set func(int, float64) error
 	switch elem {
 	case rlctree.ElemR:
-		setTree, setState = sec.SetR, s.st.SetR
+		set = s.st.SetR
 	case rlctree.ElemL:
-		setTree, setState = sec.SetL, s.st.SetL
+		set = s.st.SetL
 	case rlctree.ElemC:
-		setTree, setState = sec.SetC, s.st.SetC
+		set = s.st.SetC
 	default:
 		return guard.Newf(guard.ErrInternal, "engine", "unknown edit element %d", elem)
 	}
-	inStep := s.inStep()
-	if err := setTree(v); err != nil || !inStep {
-		return err
-	}
-	if s.folded(setState(sec.Index(), v)) {
+	gen := s.tree.Gen()
+	err := set(sec.Index(), v)
+	if s.moved(gen) {
 		mIncrEdits.Inc()
 	}
-	return nil
+	return err
 }
 
-// foldStructural finishes a structural edit made while the session was
-// in step: stateErr is the result of the state op that mirrored the tree
-// op. When it folded, the edit counts in counter and lat, the edit's
-// end-to-end timing, ends.
-func (s *Session) foldStructural(lat obs.Stage, counter *obs.Counter, stateErr error) {
-	if s.folded(stateErr) {
+// structural finishes a structural edit that started at generation gen:
+// one that moved the tree counts in counter and ends lat, the edit's
+// end-to-end timing.
+func (s *Session) structural(lat obs.Stage, gen uint64, counter *obs.Counter) {
+	if s.moved(gen) {
 		counter.Inc()
 		lat.End()
 	}
 }
 
 // AttachLeaf appends a new leaf section beneath parent (nil = the input
-// node) through the session; the attach is folded into the incremental
-// state in O(depth).
+// node) through the session's state, in O(depth).
 func (s *Session) AttachLeaf(name string, parent *rlctree.Section, r, l, c float64) (*rlctree.Section, error) {
 	if parent != nil {
 		if err := s.checkSection(parent); err != nil {
 			return nil, err
 		}
 	}
-	lat := obs.Time(mIncrStructLatency)
-	inStep := s.inStep()
-	sec, err := s.tree.AttachLeaf(name, parent, r, l, c)
-	if err != nil {
-		return nil, err
-	}
-	if inStep {
-		s.foldStructural(lat, mIncrStructAttaches, s.st.Attach([]*rlctree.Section{sec}))
-	}
-	return sec, nil
+	lat, gen := obs.Time(mIncrStructLatency), s.tree.Gen()
+	sec, err := s.st.AttachLeaf(name, parent, r, l, c)
+	s.structural(lat, gen, mIncrStructAttaches)
+	return sec, err
 }
 
 // AttachSubtree moves every section of src into the session's tree beneath
-// parent (rlctree.Tree.AttachSubtree) and folds the attach into the
-// incremental state in O(depth + |subtree|). src is consumed.
+// parent (rlctree.Tree.AttachSubtree) through the session's state, in
+// O(depth + |subtree|). src is consumed.
 func (s *Session) AttachSubtree(parent *rlctree.Section, src *rlctree.Tree) ([]*rlctree.Section, error) {
 	if parent != nil {
 		if err := s.checkSection(parent); err != nil {
 			return nil, err
 		}
 	}
-	if src == s.tree {
-		return nil, guard.Newf(guard.ErrTopology, "engine", "cannot attach the session's own tree into itself")
-	}
-	lat := obs.Time(mIncrStructLatency)
-	inStep := s.inStep()
-	moved, err := s.tree.AttachSubtree(parent, src)
-	if err != nil {
-		return nil, err
-	}
-	if inStep {
-		s.foldStructural(lat, mIncrStructAttaches, s.st.Attach(moved))
-	}
-	return moved, nil
+	lat, gen := obs.Time(mIncrStructLatency), s.tree.Gen()
+	moved, err := s.st.AttachSubtree(parent, src)
+	s.structural(lat, gen, mIncrStructAttaches)
+	return moved, err
 }
 
 // Detach removes the subtree rooted at sec and returns it as an
-// independent tree (rlctree.Tree.Detach), un-folding its capacitance from
-// the incremental state symmetrically to an attach. Detaching a subtree
-// that occupies a contiguous index suffix — the invariable case when
-// undoing a recent attach — costs O(depth + |subtree|). Detaching the
-// tree's only root would leave the session nothing to analyze, and is
-// refused before anything moves.
+// independent tree (rlctree.Tree.Detach), un-folding its capacitance
+// symmetrically to an attach. Detaching a subtree that occupies a
+// contiguous index suffix — the invariable case when undoing a recent
+// attach — costs O(depth + |subtree|). Detaching the tree's only root
+// would leave the session nothing to analyze, and is refused before
+// anything moves.
 func (s *Session) Detach(sec *rlctree.Section) (*rlctree.Tree, error) {
 	if err := s.checkSection(sec); err != nil {
 		return nil, err
 	}
-	if sec.Parent() == nil && len(s.tree.Roots()) == 1 {
-		return nil, guard.Newf(guard.ErrTopology, "engine",
-			"detaching %q, the tree's only root, would empty the session's tree", sec.Name())
-	}
-	lat := obs.Time(mIncrStructLatency)
-	inStep, root := s.inStep(), sec.Index()
-	sub, err := s.tree.Detach(sec)
-	if err != nil {
-		return nil, err
-	}
-	if inStep {
-		s.foldStructural(lat, mIncrStructDetaches, s.st.Detach(root))
-	}
-	return sub, nil
+	lat, gen := obs.Time(mIncrStructLatency), s.tree.Gen()
+	sub, err := s.st.Detach(sec)
+	s.structural(lat, gen, mIncrStructDetaches)
+	return sub, err
 }
 
 // SplitSection splits sec into k equal subsections in place
-// (rlctree.Tree.SplitSection) and folds the split into the incremental
-// state in O(depth + k).
+// (rlctree.Tree.SplitSection) through the session's state.
 func (s *Session) SplitSection(sec *rlctree.Section, k int) ([]*rlctree.Section, error) {
 	if err := s.checkSection(sec); err != nil {
 		return nil, err
 	}
-	lat := obs.Time(mIncrStructLatency)
-	inStep, x := s.inStep(), sec.Index()
-	subs, err := s.tree.SplitSection(sec, k)
-	if err != nil {
-		return nil, err
-	}
-	if inStep {
-		s.foldStructural(lat, mIncrStructSplits, s.st.Split(x, k))
-	}
-	return subs, nil
+	lat, gen := obs.Time(mIncrStructLatency), s.tree.Gen()
+	subs, err := s.st.SplitSection(sec, k)
+	s.structural(lat, gen, mIncrStructSplits)
+	return subs, err
 }
 
 // SumsAt returns the node's two path summations S_R(i), S_L(i) and its
@@ -299,9 +228,6 @@ func (s *Session) SumsAt(sink *rlctree.Section) (sr, sl, ctot float64, err error
 			"injected numeric degradation (sess.numeric)")
 	}
 	lat := obs.Time(mIncrQueryLatency)
-	if err := s.catchUp(); err != nil {
-		return 0, 0, 0, err
-	}
 	sr, sl, ctot, err = s.st.SumsAt(sink.Index())
 	if err == nil {
 		mIncrQueries.Inc()
@@ -349,29 +275,23 @@ type SectionEdit struct {
 
 // EditAndAnalyze applies a batch of element edits and returns the analysis
 // at sink — the one-call form of the edit→query cycle. Edits are applied
-// in order, each to the tree and the incremental state; on an invalid
-// edit the earlier edits of the batch remain applied and the error is
-// returned.
+// in order, each through Set; on an invalid edit the earlier edits of
+// the batch remain applied and the error is returned.
 func (s *Session) EditAndAnalyze(ctx context.Context, edits []SectionEdit, sink *rlctree.Section) (core.NodeAnalysis, error) {
 	if err := guard.Check(ctx); err != nil {
 		return core.NodeAnalysis{}, err
 	}
 	for _, e := range edits {
-		if err := s.checkSection(e.Section); err != nil {
-			return core.NodeAnalysis{}, err
-		}
-		if err := s.setElem(e.Section, e.Elem, e.Value); err != nil {
+		if err := s.Set(e.Section, e.Elem, e.Value); err != nil {
 			return core.NodeAnalysis{}, err
 		}
 	}
 	return s.AnalyzeAt(sink)
 }
 
-// Analyze returns the whole-tree characterization. The session first
-// catches the incremental state up (so subsequent single-sink queries stay
-// cheap, and so a moved generation drops the held result). While the
-// session holds the result of the tree's current generation it returns a
-// copy of it — an engine cache hit; otherwise it sweeps with its engine's
+// Analyze returns the whole-tree characterization. While the session
+// holds the result of the tree's current generation it returns a copy of
+// it — an engine cache hit; otherwise it sweeps with its engine's
 // AnalyzeTree — a miss — and holds the new result. Sweep latency lands in
 // eed_incr_full_latency_ns; compare against eed_incr_query_latency_ns for
 // the full-vs-incremental cost split.
@@ -380,14 +300,12 @@ func (s *Session) Analyze(ctx context.Context) ([]core.NodeAnalysis, error) {
 		return nil, guard.Newf(guard.ErrNumeric, "engine.faultinj",
 			"injected numeric degradation (sess.numeric)")
 	}
-	if err := s.catchUp(); err != nil {
-		return nil, err
-	}
-	if s.full != nil {
+	if s.full != nil && s.gen == s.tree.Gen() {
 		s.eng.hits.Add(1)
 		mCacheHits.Inc()
 		return slices.Clone(s.full), nil
 	}
+	s.full = nil // of an older generation, moved around the session
 	s.eng.misses.Add(1)
 	mCacheMisses.Inc()
 	lat := obs.Time(mIncrFullLatency)
@@ -396,6 +314,6 @@ func (s *Session) Analyze(ctx context.Context) ([]core.NodeAnalysis, error) {
 		return nil, err
 	}
 	lat.End()
-	s.full = out
+	s.full, s.gen = out, s.tree.Gen()
 	return slices.Clone(out), nil
 }

@@ -11,6 +11,7 @@ import (
 	"eedtree/internal/core"
 	"eedtree/internal/faultinj"
 	"eedtree/internal/guard"
+	"eedtree/internal/obs"
 	"eedtree/internal/rlctree"
 )
 
@@ -110,7 +111,9 @@ func TestSessionForeignEditsResyncOnce(t *testing.T) {
 	if _, err := sess.DelayAt(leaf); err != nil {
 		t.Fatal(err)
 	}
-	resyncs, structural := mIncrResyncs.Value(), mIncrStructResyncs.Value()
+	mResyncs := obs.Default().Counter("eed_incr_resyncs_total", "")
+	mStructResyncs := obs.Default().Counter("eed_incr_structural_resyncs_total", "")
+	resyncs, structural := mResyncs.Value(), mStructResyncs.Value()
 	check := func(step string, sink *rlctree.Section, wantResyncs, wantStructural uint64) {
 		t.Helper()
 		got, err := sess.DelayAt(sink)
@@ -124,10 +127,10 @@ func TestSessionForeignEditsResyncOnce(t *testing.T) {
 		if want := nodes[sink.Index()].Delay50; math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: delay %x, oracle %x", step, math.Float64bits(got), math.Float64bits(want))
 		}
-		if d := mIncrResyncs.Value() - resyncs; d != wantResyncs {
+		if d := mResyncs.Value() - resyncs; d != wantResyncs {
 			t.Fatalf("%s: %d resyncs, want %d", step, d, wantResyncs)
 		}
-		if d := mIncrStructResyncs.Value() - structural; d != wantStructural {
+		if d := mStructResyncs.Value() - structural; d != wantStructural {
 			t.Fatalf("%s: %d structural resyncs, want %d", step, d, wantStructural)
 		}
 	}

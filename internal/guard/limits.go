@@ -71,12 +71,15 @@ func (l Limits) WithDefaults() Limits {
 // NewScanner returns a line scanner over r whose buffer is bounded at
 // MaxLineBytes. When the bound is hit the scanner stops with
 // bufio.ErrTooLong; translate it with ScanError so callers see ErrLimit.
+// The buffer starts at 64 KiB, or smaller when r reports a shorter
+// length (strings.Reader, bytes.Reader): one byte more than the input,
+// so the scanner reads it all and sees EOF without growing.
 func (l Limits) NewScanner(r io.Reader) *bufio.Scanner {
 	l = l.WithDefaults()
 	sc := bufio.NewScanner(r)
-	initial := 64 * 1024
-	if initial > l.MaxLineBytes {
-		initial = l.MaxLineBytes
+	initial := min(64*1024, l.MaxLineBytes)
+	if lr, ok := r.(interface{ Len() int }); ok {
+		initial = min(initial, lr.Len()+1)
 	}
 	sc.Buffer(make([]byte, 0, initial), l.MaxLineBytes)
 	return sc

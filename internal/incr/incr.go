@@ -36,37 +36,47 @@
 // # Bit-identical contract
 //
 // State guarantees that after any edit sequence its sums are bit-identical
-// to rlctree.Tree.ElmoreSums on the equivalently edited tree. Floating-
-// point addition is not associative, so the kernel never applies additive
-// deltas to stored sums; instead every update recomputes the affected
-// values through the same recurrences in the same accumulation order as
-// the from-scratch pass (children folded in descending index order, the
-// node's own term last; S_R(i) = S_R(parent) + R_i·Ctot(i)), restricted to
-// the dirty region. S_R/S_L refreshes are eager for R/L edits (O(subtree))
-// and lazy for C edits: a capacitance edit refolds Ctot along path(x) and
-// marks the sums stale, after which single-sink queries walk the sink's
-// path in O(depth) and whole-tree queries re-sweep once in O(n).
+// to rlctree.Tree.ElmoreSums on its tree. Floating-point addition is not
+// associative, so the kernel never applies additive deltas to stored
+// sums; instead every update recomputes the affected values through the
+// same recurrences in the same accumulation order as the from-scratch pass
+// (children folded in descending index order, the node's own term last;
+// S_R(i) = S_R(parent) + R_i·Ctot(i)), restricted to the dirty region.
+// S_R/S_L refreshes are eager for R/L edits (O(subtree)) and lazy for C
+// edits: a capacitance edit refolds Ctot along path(x) and marks the sums
+// stale, after which single-sink queries walk the sink's path in O(depth)
+// and whole-tree queries re-sweep once in O(n).
 //
-// # Keeping a State in step with its tree
+// # A view over one tree
 //
-// A State holds no reference to the tree it was built from and sees no
-// edit by itself. Each mutation of rlctree.Tree has a twin here that
-// takes the same arguments: SetR/SetL/SetC for the element setters, and
-// Attach, Detach and Split for the structural ops (structural.go).
-// Running the tree op and then its twin keeps the state bit-identical to
-// New on the edited tree; engine.Session pairs them for every edit made
-// through it. An edit made on the tree alone leaves the state behind, and
-// the only remedy is a rebuild with New, which the session makes (and
-// counts) when it sees the tree's generation moved without it.
+// A State reads R, L, C and the parent indices of its tree through
+// rlctree.Tree.Arrays, the tree's own arrays, and keeps only what it
+// derives from them: Ctot, S_R, S_L and the child lists in fold order. It
+// makes every edit itself: SetR/SetL/SetC and the structural ops
+// AttachLeaf, AttachSubtree, Detach and SplitSection (structural.go) each
+// run the tree op once and then repair the derived arrays. An edit made on
+// the tree directly, around the state, moves the tree's generation
+// without it; the state then rebuilds its derived arrays from the tree at
+// its next call, one O(n) resync counted in eed_incr_resyncs_total (and in
+// eed_incr_structural_resyncs_total when the missed edits changed the
+// topology).
 //
-// State is not safe for concurrent use.
+// State is not safe for concurrent use, and neither is its tree.
 package incr
 
 import (
-	"math"
+	"slices"
 
 	"eedtree/internal/guard"
+	"eedtree/internal/obs"
 	"eedtree/internal/rlctree"
+)
+
+var (
+	mResyncs = obs.Default().Counter("eed_incr_resyncs_total",
+		"Full state rebuilds of a session whose tree was edited around it, not through it.")
+	mStructResyncs = obs.Default().Counter("eed_incr_structural_resyncs_total",
+		"Full state rebuilds whose edits made around the session included a structural change.")
 )
 
 // Stats counts the work a State has performed, for tests and for the
@@ -81,114 +91,182 @@ type Stats struct {
 	Attaches, Detaches, Splits uint64
 }
 
-// State is a mutable snapshot of a tree's element values and summations in
-// flat structure-of-arrays form. Build one with New, mutate it with
-// SetR/SetL/SetC and the structural ops Attach/Detach/Split, and read sums
-// with SumsAt or Sums. It holds no reference to the source tree: whoever
-// edits the tree makes the same edit here (internal/engine's Session does
-// so for every edit it is asked to make).
+// State is the incremental view of one tree: the summations and what it
+// takes to keep them, in flat arrays indexed by section index. Build one
+// with New, edit the tree through SetR/SetL/SetC and the structural ops,
+// and read sums with SumsAt or Sums.
 type State struct {
-	parent []int32
+	tree *rlctree.Tree
+	gen  uint64 // tree generation the derived arrays reflect
+
 	// First-child/next-sibling adjacency in descending index order, so a
 	// traversal from childHead visits children exactly in the fold order
 	// of the from-scratch bottom-up Ctot pass.
 	childHead []int32
 	childNext []int32
 
-	r, l, c   []float64
 	ctot      []float64 // always exact (bit-identical to DownstreamCaps)
 	sr, sl    []float64 // valid only when srslValid
 	srslValid bool
 
-	// pathBuf is scratch for SumsAt path walks, reused across queries.
+	// pathBuf is scratch for path and subtree walks, reused across calls.
 	pathBuf []int32
 
 	stats Stats
 }
 
-// New builds a State from the tree's current element values and computes
-// the initial summations with the same O(n) passes as ElmoreSums.
+// New builds a State over t and computes the initial summations with the
+// same O(n) passes as ElmoreSums.
 func New(t *rlctree.Tree) (*State, error) {
-	n := t.Len()
-	if n == 0 {
-		return nil, guard.Newf(guard.ErrTopology, "incr", "empty tree")
+	s := &State{tree: t}
+	if err := s.build(); err != nil {
+		return nil, err
 	}
-	r, l, c, parent := t.Arrays()
-	s := &State{
-		parent:    parent,
-		childHead: make([]int32, n),
-		childNext: make([]int32, n),
-		r:         r,
-		l:         l,
-		c:         c,
-		ctot:      make([]float64, n),
-		sr:        make([]float64, n),
-		sl:        make([]float64, n),
+	return s, nil
+}
+
+// Len returns the number of sections the derived arrays cover.
+func (s *State) Len() int { return len(s.ctot) }
+
+// Stats returns the work counters accumulated so far.
+func (s *State) Stats() Stats { return s.stats }
+
+// build derives everything from the tree as it stands — child lists,
+// Ctot and both sums — and takes the tree's generation.
+func (s *State) build() error {
+	if s.tree.Len() == 0 {
+		return guard.Newf(guard.ErrTopology, "incr", "empty tree")
 	}
-	for i := range s.childHead {
-		s.childHead[i] = -1
-		s.childNext[i] = -1
+	s.rederive()
+	s.sweepSums()
+	s.gen = s.tree.Gen()
+	return nil
+}
+
+// sync rebuilds the derived arrays when the tree was edited around the
+// state, i.e. its generation moved without the state: one O(n) resync,
+// also counted as structural when the missed edits changed the topology
+// (rlctree.Tree.StructuralSince).
+func (s *State) sync() error {
+	if s.gen == s.tree.Gen() {
+		return nil
 	}
-	// Ascending insertion order pushes each child onto its parent's list
-	// head, leaving the largest index first — descending traversal order.
-	for i := 0; i < n; i++ {
+	structural := s.tree.StructuralSince(s.gen)
+	if err := s.build(); err != nil {
+		return err
+	}
+	mResyncs.Inc()
+	if structural {
+		mStructResyncs.Inc()
+	}
+	return nil
+}
+
+// at brings the state in step with its tree and checks that i names one
+// of its sections.
+func (s *State) at(i int) error {
+	if err := s.sync(); err != nil {
+		return err
+	}
+	if i < 0 || i >= len(s.ctot) {
+		return guard.Newf(guard.ErrTopology, "incr", "section index %d out of range [0, %d)", i, len(s.ctot))
+	}
+	return nil
+}
+
+// resize returns a with length n and its first len(a) elements; any
+// others are the caller's to fill. Storage grows geometrically, so
+// attaching one section at a time costs amortized O(1) here.
+func resize[E any](a []E, n int) []E {
+	if n <= cap(a) {
+		return a[:n]
+	}
+	b := make([]E, n, max(n, 2*cap(a)))
+	copy(b, a)
+	return b
+}
+
+// rederive sizes the derived arrays to the tree, rebuilds every child
+// list and refolds every Ctot, leaving the sums stale: the O(n) repair
+// for an edit that renumbered sections.
+func (s *State) rederive() {
+	_, _, c, parent := s.tree.Arrays()
+	s.size(len(parent))
+	s.link(0, parent)
+	for w := len(parent) - 1; w >= 0; w-- {
+		s.fold(int32(w), c)
+	}
+	s.srslValid = false
+}
+
+// size sets the length of every derived array to n.
+func (s *State) size(n int) {
+	s.childHead, s.childNext = resize(s.childHead, n), resize(s.childNext, n)
+	s.ctot, s.sr, s.sl = resize(s.ctot, n), resize(s.sr, n), resize(s.sl, n)
+}
+
+// link gives sections [from, n) empty child lists and pushes each onto
+// its parent's. Pushing in ascending index order leaves every list in
+// descending order, new children ahead of older smaller-index ones.
+func (s *State) link(from int, parent []int32) {
+	for i := from; i < len(parent); i++ {
+		s.childHead[i], s.childNext[i] = -1, -1
 		if p := parent[i]; p >= 0 {
 			s.childNext[i] = s.childHead[p]
 			s.childHead[p] = int32(i)
 		}
 	}
-	// Initial Ctot: identical accumulation order to DownstreamCaps.
-	for i := n - 1; i >= 0; i-- {
-		s.ctot[i] += c[i]
-		if p := parent[i]; p >= 0 {
-			s.ctot[p] += s.ctot[i]
-		}
-	}
-	s.sweepSums()
-	return s, nil
 }
 
-// Len returns the number of sections the state covers.
-func (s *State) Len() int { return len(s.r) }
+// fold recomputes Ctot(w) in the from-scratch order: its children's Ctot
+// in descending index order, then its own C.
+func (s *State) fold(w int32, c []float64) {
+	acc := 0.0
+	for ch := s.childHead[w]; ch >= 0; ch = s.childNext[ch] {
+		acc += s.ctot[ch]
+	}
+	s.ctot[w] = acc + c[w]
+}
 
-// Stats returns the work counters accumulated so far.
-func (s *State) Stats() Stats { return s.stats }
+// refoldPath recomputes Ctot(w) for every section on the input→w path.
+// This is the O(depth·fanout) repair step shared by capacitance edits and
+// the structural operations (structural.go), whose effect on the rest of
+// the tree is exactly a Ctot change along one path. A negative w is a
+// no-op (the input node holds no Ctot).
+func (s *State) refoldPath(w int32) {
+	_, _, c, parent := s.tree.Arrays()
+	for ; w >= 0; w = parent[w] {
+		s.fold(w, c)
+	}
+}
 
 // sweepSums recomputes S_R and S_L for every node from the maintained
 // Ctot, in the exact order of ElmoreSums' top-down pass.
 func (s *State) sweepSums() {
+	r, l, _, parent := s.tree.Arrays()
 	for i := range s.sr {
 		var baseR, baseL float64
-		if p := s.parent[i]; p >= 0 {
+		if p := parent[i]; p >= 0 {
 			baseR = s.sr[p]
 			baseL = s.sl[p]
 		}
-		s.sr[i] = baseR + s.r[i]*s.ctot[i]
-		s.sl[i] = baseL + s.l[i]*s.ctot[i]
+		s.sr[i] = baseR + r[i]*s.ctot[i]
+		s.sl[i] = baseL + l[i]*s.ctot[i]
 	}
 	s.srslValid = true
-}
-
-func (s *State) checkEdit(i int, v float64) error {
-	if i < 0 || i >= len(s.r) {
-		return guard.Newf(guard.ErrTopology, "incr", "section index %d out of range [0, %d)", i, len(s.r))
-	}
-	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-		return guard.Newf(guard.ErrNumeric, "incr", "invalid element value %g at index %d", v, i)
-	}
-	return nil
 }
 
 // refreshSubtree recomputes sums[j] = sums[parent(j)] + elem[j]·Ctot(j)
 // over the subtree of x in topological (parent-first DFS) order — the
 // eager O(subtree) refresh for an R or L edit.
 func (s *State) refreshSubtree(x int, elem, sums []float64) {
+	_, _, _, parent := s.tree.Arrays()
 	s.pathBuf = append(s.pathBuf[:0], int32(x))
 	for len(s.pathBuf) > 0 {
 		j := s.pathBuf[len(s.pathBuf)-1]
 		s.pathBuf = s.pathBuf[:len(s.pathBuf)-1]
 		var base float64
-		if p := s.parent[j]; p >= 0 {
+		if p := parent[j]; p >= 0 {
 			base = sums[p]
 		}
 		sums[j] = base + elem[j]*s.ctot[j]
@@ -199,78 +277,57 @@ func (s *State) refreshSubtree(x int, elem, sums []float64) {
 	s.stats.SubtreeUpdates++
 }
 
-// SetR changes the series resistance of section i. Ctot and S_L are
-// unaffected; S_R is refreshed eagerly over subtree(i) when the sums are
-// currently valid (O(subtree)), and deferred to the next query otherwise.
+// set makes one element edit on the tree with setter and reports whether
+// it moved the tree's generation, counting it in count if so. A refused
+// or no-op edit changes nothing.
+func (s *State) set(i int, v float64, setter func(*rlctree.Section, float64) error, count *uint64) (bool, error) {
+	if err := s.at(i); err != nil {
+		return false, err
+	}
+	if err := setter(s.tree.Sections()[i], v); err != nil || s.tree.Gen() == s.gen {
+		return false, err
+	}
+	s.gen = s.tree.Gen()
+	*count++
+	return true, nil
+}
+
+// SetR changes the series resistance of section i on the tree. Ctot and
+// S_L are unaffected; S_R is refreshed eagerly over subtree(i) when the
+// sums are currently valid (O(subtree)), and deferred to the next query
+// otherwise.
 func (s *State) SetR(i int, v float64) error {
-	if err := s.checkEdit(i, v); err != nil {
-		return err
+	moved, err := s.set(i, v, (*rlctree.Section).SetR, &s.stats.EditsR)
+	if moved && s.srslValid {
+		r, _, _, _ := s.tree.Arrays()
+		s.refreshSubtree(i, r, s.sr)
 	}
-	if v == s.r[i] {
-		return nil
-	}
-	s.r[i] = v
-	s.stats.EditsR++
-	if s.srslValid {
-		s.refreshSubtree(i, s.r, s.sr)
-	}
-	return nil
+	return err
 }
 
 // SetL changes the series inductance of section i; symmetric to SetR with
 // S_L in place of S_R.
 func (s *State) SetL(i int, v float64) error {
-	if err := s.checkEdit(i, v); err != nil {
-		return err
+	moved, err := s.set(i, v, (*rlctree.Section).SetL, &s.stats.EditsL)
+	if moved && s.srslValid {
+		_, l, _, _ := s.tree.Arrays()
+		s.refreshSubtree(i, l, s.sl)
 	}
-	if v == s.l[i] {
-		return nil
-	}
-	s.l[i] = v
-	s.stats.EditsL++
-	if s.srslValid {
-		s.refreshSubtree(i, s.l, s.sl)
-	}
-	return nil
+	return err
 }
 
-// SetC changes the node capacitance of section i. Ctot is refolded exactly
-// along path(i) — each ancestor re-accumulates its children in the same
-// descending-index order as the from-scratch bottom-up pass, so the
-// maintained Ctot stays bit-identical — in O(depth·fanout). The S_R/S_L
-// arrays are marked stale (a ΔC perturbs the sums of every node sharing a
-// path prefix with i, by exactly R_ix·ΔC); they are refreshed lazily by
-// the next SumsAt (O(depth)) or Sums (O(n)) query.
+// SetC changes the node capacitance of section i on the tree. Ctot is
+// refolded exactly along path(i) in O(depth·fanout). The S_R/S_L arrays
+// are marked stale (a ΔC perturbs the sums of every node sharing a path
+// prefix with i, by exactly R_ix·ΔC); they are refreshed lazily by the
+// next SumsAt (O(depth)) or Sums (O(n)) query.
 func (s *State) SetC(i int, v float64) error {
-	if err := s.checkEdit(i, v); err != nil {
-		return err
+	moved, err := s.set(i, v, (*rlctree.Section).SetC, &s.stats.EditsC)
+	if moved {
+		s.refoldPath(int32(i))
+		s.srslValid = false
 	}
-	if v == s.c[i] {
-		return nil
-	}
-	s.c[i] = v
-	s.stats.EditsC++
-	s.refoldPath(int32(i))
-	s.srslValid = false
-	return nil
-}
-
-// refoldPath recomputes Ctot(w) for every section on the input→w path,
-// re-accumulating each node's children in the same descending-index order
-// as the from-scratch bottom-up pass (own C last), so the maintained Ctot
-// stays bit-identical. This is the O(depth·fanout) repair step shared by
-// capacitance edits and the structural operations (structural.go), whose
-// effect on the rest of the tree is exactly a Ctot change along one path.
-// A negative w is a no-op (the input node holds no Ctot).
-func (s *State) refoldPath(w int32) {
-	for ; w >= 0; w = s.parent[w] {
-		acc := 0.0
-		for ch := s.childHead[w]; ch >= 0; ch = s.childNext[ch] {
-			acc += s.ctot[ch]
-		}
-		acc += s.c[w]
-		s.ctot[w] = acc
-	}
+	return err
 }
 
 // SumsAt returns S_R(i), S_L(i) and Ctot(i) for one node. When the sums
@@ -279,20 +336,21 @@ func (s *State) refoldPath(w int32) {
 // whole incremental design exists for — folding the recurrence in the
 // exact from-scratch order, without revalidating the rest of the tree.
 func (s *State) SumsAt(i int) (sr, sl, ctot float64, err error) {
-	if i < 0 || i >= len(s.r) {
-		return 0, 0, 0, guard.Newf(guard.ErrTopology, "incr", "section index %d out of range [0, %d)", i, len(s.r))
+	if err := s.at(i); err != nil {
+		return 0, 0, 0, err
 	}
 	if s.srslValid {
 		return s.sr[i], s.sl[i], s.ctot[i], nil
 	}
+	r, l, _, parent := s.tree.Arrays()
 	s.pathBuf = s.pathBuf[:0]
-	for w := int32(i); w >= 0; w = s.parent[w] {
+	for w := int32(i); w >= 0; w = parent[w] {
 		s.pathBuf = append(s.pathBuf, w)
 	}
 	for k := len(s.pathBuf) - 1; k >= 0; k-- {
 		w := s.pathBuf[k]
-		sr = sr + s.r[w]*s.ctot[w]
-		sl = sl + s.l[w]*s.ctot[w]
+		sr = sr + r[w]*s.ctot[w]
+		sl = sl + l[w]*s.ctot[w]
 	}
 	s.stats.PathQueries++
 	return sr, sl, s.ctot[i], nil
@@ -300,15 +358,19 @@ func (s *State) SumsAt(i int) (sr, sl, ctot float64, err error) {
 
 // Sums returns the full summations, re-sweeping S_R/S_L once in O(n) if a
 // capacitance edit left them stale. The returned slices are copies; the
-// result is bit-identical to ElmoreSums on the equivalently edited tree.
+// result is bit-identical to ElmoreSums on the tree. A tree emptied
+// around the state has no sums.
 func (s *State) Sums() rlctree.Sums {
+	if s.sync() != nil {
+		return rlctree.Sums{}
+	}
 	if !s.srslValid {
 		s.sweepSums()
 		s.stats.FullSweeps++
 	}
 	return rlctree.Sums{
-		SR:   append([]float64(nil), s.sr...),
-		SL:   append([]float64(nil), s.sl...),
-		Ctot: append([]float64(nil), s.ctot...),
+		SR:   slices.Clone(s.sr),
+		SL:   slices.Clone(s.sl),
+		Ctot: slices.Clone(s.ctot),
 	}
 }

@@ -3,6 +3,7 @@ package incr
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"eedtree/internal/rlctree"
@@ -41,6 +42,33 @@ func TestNewMatchesElmoreSums(t *testing.T) {
 	}
 }
 
+var stateSink *State
+
+// TestNewAllocBudget: a State reads R, L, C and the parent indices from
+// its tree's own arrays and allocates only what it derives — Ctot, S_R,
+// S_L and the two child-list arrays, 32 B per section. Copying the tree's
+// four arrays as well (28 B per section) fails the budget.
+func TestNewAllocBudget(t *testing.T) {
+	const n, runs = 16384, 5
+	tree := rlctree.Random(rand.New(rand.NewSource(1)), rlctree.RandomSpec{Sections: n})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		st, err := New(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stateSink = st
+	}
+	runtime.ReadMemStats(&after)
+	each := float64(after.TotalAlloc-before.TotalAlloc) / (runs * n)
+	t.Logf("New over %d sections: %.1f B per section, %.1f allocations per call",
+		n, each, float64(after.Mallocs-before.Mallocs)/runs)
+	if each > 36 {
+		t.Errorf("New allocates %.1f B per section, budget 36", each)
+	}
+}
+
 func TestNewEmptyTreeFails(t *testing.T) {
 	if _, err := New(rlctree.New()); err == nil {
 		t.Fatal("empty tree must fail")
@@ -69,22 +97,21 @@ func TestEditValidation(t *testing.T) {
 	}
 }
 
-// applyBoth applies one edit to the live tree and then to the state, the
-// pairing engine.Session makes for every edit.
-func applyBoth(t *testing.T, tree *rlctree.Tree, st *State, idx int, elem rlctree.Elem, v float64) {
+// edit makes one element edit through the state, which makes it on the
+// tree.
+func edit(t *testing.T, st *State, idx int, elem rlctree.Elem, v float64) {
 	t.Helper()
-	s := tree.Sections()[idx]
-	var terr, serr error
+	var err error
 	switch elem {
 	case rlctree.ElemR:
-		terr, serr = s.SetR(v), st.SetR(idx, v)
+		err = st.SetR(idx, v)
 	case rlctree.ElemL:
-		terr, serr = s.SetL(v), st.SetL(idx, v)
+		err = st.SetL(idx, v)
 	case rlctree.ElemC:
-		terr, serr = s.SetC(v), st.SetC(idx, v)
+		err = st.SetC(idx, v)
 	}
-	if terr != nil || serr != nil {
-		t.Fatalf("edit (%d, %v, %g): tree err %v, state err %v", idx, elem, v, terr, serr)
+	if err != nil {
+		t.Fatalf("edit (%d, %v, %g): %v", idx, elem, v, err)
 	}
 }
 
@@ -116,7 +143,7 @@ func TestRandomEditSequenceBitEquality(t *testing.T) {
 			default:
 				v = rng.Float64() * 100
 			}
-			applyBoth(t, tree, st, idx, elem, v)
+			edit(t, st, idx, elem, v)
 			totalEdits++
 
 			want := tree.ElmoreSums()

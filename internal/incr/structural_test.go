@@ -9,55 +9,6 @@ import (
 	"eedtree/internal/rlctree"
 )
 
-// The helpers below run one structural tree op and then its state twin
-// on the same arguments, the pairing engine.Session makes; a state op
-// that fails after the tree accepted the op fails the test.
-
-func attachLeafBoth(t *testing.T, tree *rlctree.Tree, st *State, name string, parent *rlctree.Section, r, l, c float64) error {
-	t.Helper()
-	sec, err := tree.AttachLeaf(name, parent, r, l, c)
-	if err == nil {
-		foldOK(t, "Attach", st.Attach([]*rlctree.Section{sec}))
-	}
-	return err
-}
-
-func attachSubtreeBoth(t *testing.T, tree *rlctree.Tree, st *State, parent *rlctree.Section, sub *rlctree.Tree) error {
-	t.Helper()
-	moved, err := tree.AttachSubtree(parent, sub)
-	if err == nil {
-		foldOK(t, "Attach", st.Attach(moved))
-	}
-	return err
-}
-
-func detachBoth(t *testing.T, tree *rlctree.Tree, st *State, sec *rlctree.Section) (*rlctree.Tree, error) {
-	t.Helper()
-	root := sec.Index()
-	sub, err := tree.Detach(sec)
-	if err == nil {
-		foldOK(t, "Detach", st.Detach(root))
-	}
-	return sub, err
-}
-
-func splitBoth(t *testing.T, tree *rlctree.Tree, st *State, sec *rlctree.Section, k int) error {
-	t.Helper()
-	x := sec.Index()
-	_, err := tree.SplitSection(sec, k)
-	if err == nil {
-		foldOK(t, "Split", st.Split(x, k))
-	}
-	return err
-}
-
-func foldOK(t *testing.T, op string, err error) {
-	t.Helper()
-	if err != nil {
-		t.Fatalf("state %s refused an op the tree accepted: %v", op, err)
-	}
-}
-
 // randomSubtree builds a small random tree with names distinct from the
 // main tree's (prefix p).
 func randomSubtree(rng *rand.Rand, p string, n int) *rlctree.Tree {
@@ -75,12 +26,27 @@ func randomSubtree(rng *rand.Rand, p string, n int) *rlctree.Tree {
 	return sub
 }
 
+// requireSumsAtBitEqual checks the state's sums at node q against a
+// from-scratch ElmoreSums of its tree.
+func requireSumsAtBitEqual(t *testing.T, st *State, want rlctree.Sums, q int, context string) {
+	t.Helper()
+	sr, sl, ctot, err := st.SumsAt(q)
+	if err != nil {
+		t.Fatalf("%s: %v", context, err)
+	}
+	if !bitEq(sr, want.SR[q]) || !bitEq(sl, want.SL[q]) || !bitEq(ctot, want.Ctot[q]) {
+		t.Fatalf("%s: SumsAt(%d) = %x/%x/%x, want %x/%x/%x", context, q,
+			math.Float64bits(sr), math.Float64bits(sl), math.Float64bits(ctot),
+			math.Float64bits(want.SR[q]), math.Float64bits(want.SL[q]), math.Float64bits(want.Ctot[q]))
+	}
+}
+
 // TestRandomMixedStructuralBitEquality is the structural correctness
 // contract: across ≥1500 interleaved value edits, leaf attaches, subtree
-// attaches, detaches and splits, each made on the tree and then on the
-// state, the state stays bit-identical to a from-scratch ElmoreSums of
-// the mutated tree — checked at a random sink after every op (the lazy
-// O(depth) path) and over the whole tree at intervals and at the end.
+// attaches, detaches and splits, each made through the state, the state
+// stays bit-identical to a from-scratch ElmoreSums of its tree — checked
+// at a random sink after every op (the lazy O(depth) path) and over the
+// whole tree at intervals and at the end.
 func TestRandomMixedStructuralBitEquality(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	totalOps := 0
@@ -98,10 +64,10 @@ func TestRandomMixedStructuralBitEquality(t *testing.T) {
 			switch rng.Intn(8) {
 			case 0, 1, 2: // value edit (keep these the majority, as in practice)
 				idx, v := rng.Intn(len(secs)), rng.Float64()*50
-				applyBoth(t, tree, st, idx, rlctree.Elem(rng.Intn(3)), v)
+				edit(t, st, idx, rlctree.Elem(rng.Intn(3)), v)
 			case 3: // leaf attach
 				parent := secs[rng.Intn(len(secs))]
-				if err := attachLeafBoth(t, tree, st, fmt.Sprintf("t%d_leaf%d", trial, op), parent,
+				if _, err := st.AttachLeaf(fmt.Sprintf("t%d_leaf%d", trial, op), parent,
 					rng.Float64()*10, rng.Float64()*1e-9, rng.Float64()*1e-13); err != nil {
 					t.Fatal(err)
 				}
@@ -114,7 +80,7 @@ func TestRandomMixedStructuralBitEquality(t *testing.T) {
 					sub = randomSubtree(rng, fmt.Sprintf("t%d_sub%d", trial, op), 1+rng.Intn(6))
 				}
 				parent := secs[rng.Intn(len(secs))]
-				if err := attachSubtreeBoth(t, tree, st, parent, sub); err != nil {
+				if _, err := st.AttachSubtree(parent, sub); err != nil {
 					t.Fatal(err)
 				}
 			case 5: // detach (never empty the tree)
@@ -122,14 +88,14 @@ func TestRandomMixedStructuralBitEquality(t *testing.T) {
 					continue
 				}
 				sec := secs[1+rng.Intn(len(secs)-1)]
-				if sub, err := detachBoth(t, tree, st, sec); err != nil {
+				if sub, err := st.Detach(sec); err != nil {
 					t.Fatal(err)
 				} else if rng.Intn(2) == 0 {
 					pool = append(pool, sub)
 				}
 			case 6: // split
 				sec := secs[rng.Intn(len(secs))]
-				if err := splitBoth(t, tree, st, sec, 2+rng.Intn(4)); err != nil {
+				if _, err := st.SplitSection(sec, 2+rng.Intn(4)); err != nil {
 					// Splitting a section twice collides on the "~i" names;
 					// legal to attempt, nothing to fold.
 					continue
@@ -142,17 +108,7 @@ func TestRandomMixedStructuralBitEquality(t *testing.T) {
 				t.Fatalf("trial %d op %d: state has %d sections, tree %d", trial, op, st.Len(), tree.Len())
 			}
 			want := tree.ElmoreSums()
-			q := rng.Intn(tree.Len())
-			sr, sl, ctot, err := st.SumsAt(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bitEq(sr, want.SR[q]) || !bitEq(sl, want.SL[q]) || !bitEq(ctot, want.Ctot[q]) {
-				t.Fatalf("trial %d op %d: SumsAt(%d) = %x/%x/%x, want %x/%x/%x",
-					trial, op, q,
-					math.Float64bits(sr), math.Float64bits(sl), math.Float64bits(ctot),
-					math.Float64bits(want.SR[q]), math.Float64bits(want.SL[q]), math.Float64bits(want.Ctot[q]))
-			}
+			requireSumsAtBitEqual(t, st, want, rng.Intn(tree.Len()), fmt.Sprintf("trial %d op %d", trial, op))
 			if rng.Intn(9) == 0 {
 				requireSumsBitEqual(t, st.Sums(), want, "full sums after structural op")
 			}
@@ -165,9 +121,9 @@ func TestRandomMixedStructuralBitEquality(t *testing.T) {
 	st := func() Stats { // a sanity peek that structural paths actually ran
 		tree := rlctree.Random(rng, rlctree.RandomSpec{Sections: 8})
 		s, _ := New(tree)
-		sub, _ := detachBoth(t, tree, s, tree.Sections()[4])
-		_ = attachSubtreeBoth(t, tree, s, tree.Sections()[0], sub)
-		_ = splitBoth(t, tree, s, tree.Sections()[1], 3)
+		sub, _ := s.Detach(tree.Sections()[4])
+		_, _ = s.AttachSubtree(tree.Sections()[0], sub)
+		_, _ = s.SplitSection(tree.Sections()[1], 3)
 		return s.Stats()
 	}()
 	if st.Detaches == 0 || st.Attaches == 0 || st.Splits == 0 {
@@ -175,10 +131,10 @@ func TestRandomMixedStructuralBitEquality(t *testing.T) {
 	}
 }
 
-// TestStructuralOpsStatsAndErrors covers the defensive paths: ops that do
-// not match the state are refused (the session then resynchronizes) and
-// count nothing, a detach that would empty the state is refused, k = 1
-// splits are no-ops, and the counters advance once per folded op.
+// TestStructuralOpsStatsAndErrors covers the defensive paths: ops the
+// tree refuses change nothing and count nothing, a detach that would
+// empty the tree is refused, k = 1 splits are no-ops, and the counters
+// advance once per folded op.
 func TestStructuralOpsStatsAndErrors(t *testing.T) {
 	tree, err := rlctree.Line("w", 8, rlctree.SectionValues{R: 1, L: 1e-9, C: 1e-15})
 	if err != nil {
@@ -188,45 +144,54 @@ func TestStructuralOpsStatsAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An attach of sections that do not extend the state.
-	if err := st.Attach(tree.Sections()[3:4]); err == nil {
-		t.Fatal("misaligned attach must fail")
+	other, err := rlctree.Line("o", 4, rlctree.SectionValues{R: 1, L: 1e-9, C: 1e-15})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := st.Attach(nil); err == nil {
-		t.Fatal("attach of no sections must fail")
-	}
-	// Detaches out of range, and one of the only root.
-	for _, root := range []int{-1, 99} {
-		if err := st.Detach(root); err == nil {
-			t.Fatalf("out-of-range detach of %d must fail", root)
+	gen := tree.Gen()
+	// Detaches of a foreign or nil section, and of the only root.
+	for _, sec := range []*rlctree.Section{nil, other.Sections()[1], tree.Sections()[0]} {
+		if _, err := st.Detach(sec); err == nil {
+			t.Fatalf("detach of %v must fail", sec)
 		}
 	}
-	if err := st.Detach(0); err == nil {
-		t.Fatal("detach that empties the state must fail")
+	// Splits of a foreign section and into 0, and a no-op k = 1 split.
+	if _, err := st.SplitSection(other.Sections()[1], 2); err == nil {
+		t.Fatal("split of a foreign section must fail")
 	}
-	// Splits out of range, and a no-op k = 1 split.
-	if err := st.Split(99, 2); err == nil {
-		t.Fatal("out-of-range split must fail")
-	}
-	if err := st.Split(2, 0); err == nil {
+	if _, err := st.SplitSection(tree.Sections()[2], 0); err == nil {
 		t.Fatal("split into 0 must fail")
 	}
-	if err := st.Split(2, 1); err != nil {
+	if _, err := st.SplitSection(tree.Sections()[2], 1); err != nil {
 		t.Fatalf("k = 1 split must be a no-op: %v", err)
+	}
+	// Attaches the tree refuses: a duplicate name, a foreign parent, the
+	// tree into itself.
+	if _, err := st.AttachLeaf(tree.Sections()[1].Name(), nil, 1, 0, 1e-15); err == nil {
+		t.Fatal("attach of a duplicate name must fail")
+	}
+	if _, err := st.AttachLeaf("x", other.Sections()[0], 1, 0, 1e-15); err == nil {
+		t.Fatal("attach under a foreign parent must fail")
+	}
+	if _, err := st.AttachSubtree(nil, tree); err == nil {
+		t.Fatal("attach of the tree into itself must fail")
 	}
 	if got := st.Stats(); got.Attaches != 0 || got.Detaches != 0 || got.Splits != 0 {
 		t.Fatalf("failed and no-op ops must not count: %+v", got)
 	}
+	if tree.Gen() != gen || tree.Len() != 8 {
+		t.Fatalf("refused ops changed the tree: generation %d -> %d, %d sections", gen, tree.Gen(), tree.Len())
+	}
 	requireSumsBitEqual(t, st.Sums(), tree.ElmoreSums(), "after refused ops")
 
 	leaf := tree.Sections()[tree.Len()-1]
-	if err := attachLeafBoth(t, tree, st, "x", leaf, 1, 0, 1e-15); err != nil {
+	if _, err := st.AttachLeaf("x", leaf, 1, 0, 1e-15); err != nil {
 		t.Fatal(err)
 	}
-	if err := splitBoth(t, tree, st, tree.Sections()[2], 3); err != nil {
+	if _, err := st.SplitSection(tree.Sections()[2], 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := detachBoth(t, tree, st, tree.Section("x")); err != nil {
+	if _, err := st.Detach(tree.Section("x")); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Stats(); got.Attaches != 1 || got.Detaches != 1 || got.Splits != 1 {
@@ -235,10 +200,13 @@ func TestStructuralOpsStatsAndErrors(t *testing.T) {
 	requireSumsBitEqual(t, st.Sums(), tree.ElmoreSums(), "after folded ops")
 }
 
-// FuzzStructuralEdits drives arbitrary interleavings of value edits,
-// attach, detach and split decoded from raw bytes, each made on the tree
-// and then on the state, asserting exact-bits agreement with from-scratch
-// ElmoreSums after every op. Registered in `make fuzz-smoke`.
+// FuzzStructuralEdits drives arbitrary interleavings of the state's whole
+// edit API — value edits, leaf and subtree attaches, detaches, splits —
+// and of edits made on the tree alone, around the state (a capacitance
+// edit and a leaf attach), decoded from raw bytes. After every op the
+// state must agree with a from-scratch ElmoreSums to the bit; after a
+// foreign op that takes the rebuild behind the state's generation check.
+// Registered in `make fuzz-smoke`.
 func FuzzStructuralEdits(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 3, 100}) // SetR(3) = 100
@@ -246,7 +214,10 @@ func FuzzStructuralEdits(f *testing.F) {
 	f.Add([]byte{0x02, 5})      // Detach s5
 	f.Add([]byte{0x03, 2, 3})   // Split s2 into 3
 	f.Add([]byte{0x04, 1, 4})   // AttachSubtree(4 sections) under s1
+	f.Add([]byte{0x05, 6, 9})   // foreign SetC(s6)
+	f.Add([]byte{0x06, 8, 3})   // foreign AttachLeaf as a second root
 	f.Add([]byte{0x02, 7, 0x04, 0, 3, 0x02, 1, 0x03, 0, 2, 0x00, 0, 9})
+	f.Add([]byte{0x06, 2, 1, 0x05, 4, 2, 0x02, 8, 0x0e, 1, 5, 0x02, 0})
 	f.Fuzz(func(t *testing.T, input []byte) {
 		tree, err := rlctree.Line("s", 8, rlctree.SectionValues{R: 2, L: 1e-9, C: 5e-15})
 		if err != nil {
@@ -272,19 +243,25 @@ func FuzzStructuralEdits(f *testing.F) {
 				return v
 			}
 			secs := tree.Sections()
-			switch op % 5 {
+			// parent picks a section, or the input node one time in n+1.
+			parent := func() *rlctree.Section {
+				if i := arg() % (len(secs) + 1); i < len(secs) {
+					return secs[i]
+				}
+				return nil
+			}
+			switch op % 7 {
 			case 0: // value edit
 				idx := arg() % len(secs)
 				v := float64(arg())
-				elem := rlctree.Elem(op / 5 % 3)
+				elem := rlctree.Elem(op / 7 % 3)
 				if elem == rlctree.ElemC {
 					v *= 1e-15
 				}
-				applyBoth(t, tree, st, idx, elem, v)
+				edit(t, st, idx, elem, v)
 			case 1: // leaf attach
-				parent := secs[arg()%len(secs)]
 				serial++
-				if err := attachLeafBoth(t, tree, st, fmt.Sprintf("f%d", serial), parent,
+				if _, err := st.AttachLeaf(fmt.Sprintf("f%d", serial), parent(),
 					1, 0, float64(arg())*1e-15); err != nil {
 					t.Fatal(err)
 				}
@@ -292,19 +269,20 @@ func FuzzStructuralEdits(f *testing.F) {
 				if tree.Len() < 3 {
 					continue
 				}
-				sec := secs[1+arg()%(len(secs)-1)]
-				if _, err := detachBoth(t, tree, st, sec); err != nil {
-					t.Fatal(err)
+				sec := secs[arg()%len(secs)]
+				onlyRoot := sec.Parent() == nil && len(tree.Roots()) == 1
+				if _, err := st.Detach(sec); (err != nil) != onlyRoot {
+					t.Fatalf("detach of %q (only root %v): %v", sec.Name(), onlyRoot, err)
 				}
 			case 3: // split
 				sec := secs[arg()%len(secs)]
-				if err := splitBoth(t, tree, st, sec, 2+arg()%3); err != nil {
+				if _, err := st.SplitSection(sec, 2+arg()%3); err != nil {
 					// Name collision with an earlier split of the same
 					// section is legal input; skip.
 					continue
 				}
-			default: // subtree attach
-				parent := secs[arg()%len(secs)]
+			case 4: // subtree attach
+				at := parent()
 				serial++
 				sub := rlctree.New()
 				var prev *rlctree.Section
@@ -312,29 +290,23 @@ func FuzzStructuralEdits(f *testing.F) {
 					prev = sub.MustAddSection(fmt.Sprintf("g%d_%d", serial, i), prev,
 						1, 1e-10, 2e-15)
 				}
-				if err := attachSubtreeBoth(t, tree, st, parent, sub); err != nil {
+				if _, err := st.AttachSubtree(at, sub); err != nil {
+					t.Fatal(err)
+				}
+			case 5: // foreign capacitance edit, on the tree alone
+				if err := secs[arg()%len(secs)].SetC(float64(arg()) * 1e-15); err != nil {
+					t.Fatal(err)
+				}
+			default: // foreign leaf attach, on the tree alone
+				serial++
+				if _, err := tree.AttachLeaf(fmt.Sprintf("h%d", serial), parent(),
+					1, 1e-10, float64(arg())*1e-15); err != nil {
 					t.Fatal(err)
 				}
 			}
-
-			want := tree.ElmoreSums()
-			q := (serial + tree.Len()) % tree.Len()
-			sr, sl, ctot, err := st.SumsAt(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bitEq(sr, want.SR[q]) || !bitEq(sl, want.SL[q]) || !bitEq(ctot, want.Ctot[q]) {
-				t.Fatalf("SumsAt(%d) diverged after %v: %x/%x/%x vs %x/%x/%x", q, op%5,
-					math.Float64bits(sr), math.Float64bits(sl), math.Float64bits(ctot),
-					math.Float64bits(want.SR[q]), math.Float64bits(want.SL[q]), math.Float64bits(want.Ctot[q]))
-			}
+			requireSumsAtBitEqual(t, st, tree.ElmoreSums(), (serial+tree.Len())%tree.Len(),
+				fmt.Sprintf("after op %d", op%7))
 		}
-		full := st.Sums()
-		want := tree.ElmoreSums()
-		for i := range want.SR {
-			if !bitEq(full.SR[i], want.SR[i]) || !bitEq(full.SL[i], want.SL[i]) || !bitEq(full.Ctot[i], want.Ctot[i]) {
-				t.Fatalf("final sums diverge at node %d", i)
-			}
-		}
+		requireSumsBitEqual(t, st.Sums(), tree.ElmoreSums(), "final sums")
 	})
 }

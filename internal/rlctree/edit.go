@@ -10,9 +10,9 @@ import (
 // and S_L are recursively maintainable, so a synthesis loop that perturbs
 // a few element values should not rebuild the tree (or re-run the full
 // two-pass sums) per candidate. The tree itself keeps no history: a
-// consumer that maintains derived state across edits — engine.Session,
-// holding an incr.State — makes each edit through its own wrapper, which
-// runs the tree op here and then the matching incr op. The generation
+// consumer that maintains derived state across edits — an incr.State,
+// which reads the tree through Arrays — makes each edit itself, running
+// the op here once and then repairing what it derives. The generation
 // counter is how such a consumer notices an edit made around it (the
 // counter moved without it), and StructuralSince says whether that edit
 // changed the topology.
@@ -93,15 +93,12 @@ func (s *Section) SetL(v float64) error { return s.setElem(ElemL, s.tree.l, v) }
 // SetR.
 func (s *Section) SetC(v float64) error { return s.setElem(ElemC, s.tree.c, v) }
 
-// Arrays returns copies of the tree's flat structure-of-arrays layout:
-// element values r, l, c and parent indices (-1 for sections attached to
-// the input node), all indexed by section index. Ascending index order is
-// a valid top-down topological order. This is the snapshot the incremental
-// sums kernel (internal/incr) is built from.
+// Arrays returns the tree's own flat structure-of-arrays layout: element
+// values r, l, c and parent indices (-1 for sections attached to the
+// input node), all indexed by section index. Ascending index order is a
+// valid top-down topological order. The slices are read-only, and valid
+// until the next structural edit; element edits write through them. The
+// incremental sums kernel (internal/incr) reads the tree through them.
 func (t *Tree) Arrays() (r, l, c []float64, parent []int32) {
-	r = append([]float64(nil), t.r...)
-	l = append([]float64(nil), t.l...)
-	c = append([]float64(nil), t.c...)
-	parent = append([]int32(nil), t.parentIdx...)
-	return r, l, c, parent
+	return t.r, t.l, t.c, t.parentIdx
 }

@@ -8,7 +8,9 @@ import (
 	"testing"
 )
 
-// rebuild returns tr rebuilt in one FromParents call from its own arrays.
+// rebuild returns tr rebuilt in one FromParents call from copies of its
+// arrays: FromParents takes ownership of what it is handed, and Arrays
+// returns the tree's own.
 func rebuild(t *testing.T, tr *Tree) *Tree {
 	t.Helper()
 	names := make([]string, tr.Len())
@@ -16,7 +18,7 @@ func rebuild(t *testing.T, tr *Tree) *Tree {
 		names[i] = s.Name()
 	}
 	r, l, c, parent := tr.Arrays()
-	out, err := FromParents(names, parent, r, l, c)
+	out, err := FromParents(names, slices.Clone(parent), slices.Clone(r), slices.Clone(l), slices.Clone(c))
 	if err != nil {
 		t.Fatal(err)
 	}

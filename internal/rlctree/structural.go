@@ -6,14 +6,14 @@ import (
 )
 
 // This file is the in-place structural edit API: attach, detach and split
-// primitives that mutate a tree's topology without rebuilding it. Each has
-// a twin in internal/incr that folds the same change into live summations
-// in O(depth + |subtree|) instead of resynchronizing from scratch, and
-// engine.Session runs the pair as one edit. This is
-// what makes topology optimization — repeater insertion, buffered-tree
-// exploration — an incremental-query workload: a candidate topology is a
-// structural edit, an O(depth) delay query, and an inverse structural edit,
-// not a tree rebuild per candidate.
+// primitives that mutate a tree's topology without rebuilding it. An
+// incr.State makes each of them itself, with the same arguments, and then
+// folds the change into its live summations in O(depth + |subtree|)
+// instead of resynchronizing from scratch. This is what makes topology
+// optimization — repeater insertion, buffered-tree exploration — an
+// incremental-query workload: a candidate topology is a structural edit,
+// an O(depth) delay query, and an inverse structural edit, not a tree
+// rebuild per candidate.
 //
 // Every operation preserves the flat-SoA invariants the O(n) sweeps and
 // the incremental kernel rely on:
