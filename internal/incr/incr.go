@@ -358,11 +358,11 @@ func (s *State) SumsAt(i int) (sr, sl, ctot float64, err error) {
 
 // Sums returns the full summations, re-sweeping S_R/S_L once in O(n) if a
 // capacitance edit left them stale. The returned slices are copies; the
-// result is bit-identical to ElmoreSums on the tree. A tree emptied
-// around the state has no sums.
-func (s *State) Sums() rlctree.Sums {
-	if s.sync() != nil {
-		return rlctree.Sums{}
+// result is bit-identical to ElmoreSums on the tree. It fails, as SumsAt
+// does, when the tree was emptied around the state.
+func (s *State) Sums() (rlctree.Sums, error) {
+	if err := s.sync(); err != nil {
+		return rlctree.Sums{}, err
 	}
 	if !s.srslValid {
 		s.sweepSums()
@@ -372,5 +372,5 @@ func (s *State) Sums() rlctree.Sums {
 		SR:   slices.Clone(s.sr),
 		SL:   slices.Clone(s.sl),
 		Ctot: slices.Clone(s.ctot),
-	}
+	}, nil
 }

