@@ -5,6 +5,10 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCH ?= .
 BENCHTIME ?= 1s
+# Minimizing a new input is capped at 100 runs: at its 60 s default,
+# minimization takes most of a 10 s FUZZTIME, and the target spends it at
+# 0 executions per second.
+FUZZFLAGS = -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x
 
 .PHONY: all build test check vet race perfbench fuzz-smoke bench service-bench chaos-soak chip-bench loc
 
@@ -34,20 +38,21 @@ perfbench:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
+# fuzz-smoke: each target fuzzes for FUZZTIME, with FUZZFLAGS.
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzParseDeck -fuzztime=$(FUZZTIME) ./internal/circuit/
-	$(GO) test -run=NONE -fuzz=FuzzParseSource -fuzztime=$(FUZZTIME) ./internal/circuit/
-	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/rlctree/
-	$(GO) test -run=NONE -fuzz=FuzzElementEdits -fuzztime=$(FUZZTIME) ./internal/rlctree/
-	$(GO) test -run=NONE -fuzz=FuzzStructuralEdits -fuzztime=$(FUZZTIME) ./internal/incr/
-	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/spef/
-	$(GO) test -run=NONE -fuzz=FuzzStream -fuzztime=$(FUZZTIME) ./internal/spef/
-	$(GO) test -run=NONE -fuzz=FuzzNetTree -fuzztime=$(FUZZTIME) ./internal/spef/
-	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/unit/
-	$(GO) test -run=NONE -fuzz=FuzzFormatRoundTrip -fuzztime=$(FUZZTIME) ./internal/unit/
-	$(GO) test -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./internal/eedsrv/
-	$(GO) test -run=NONE -fuzz=FuzzParseFaultSpec -fuzztime=$(FUZZTIME) ./internal/faultinj/
-	$(GO) test -run=NONE -fuzz=FuzzScaledInverse -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzParseDeck $(FUZZFLAGS) ./internal/circuit/
+	$(GO) test -run=NONE -fuzz=FuzzParseSource $(FUZZFLAGS) ./internal/circuit/
+	$(GO) test -run=NONE -fuzz=FuzzParse $(FUZZFLAGS) ./internal/rlctree/
+	$(GO) test -run=NONE -fuzz=FuzzElementEdits $(FUZZFLAGS) ./internal/rlctree/
+	$(GO) test -run=NONE -fuzz=FuzzStructuralEdits $(FUZZFLAGS) ./internal/incr/
+	$(GO) test -run=NONE -fuzz=FuzzParse $(FUZZFLAGS) ./internal/spef/
+	$(GO) test -run=NONE -fuzz=FuzzStream $(FUZZFLAGS) ./internal/spef/
+	$(GO) test -run=NONE -fuzz=FuzzNetTree $(FUZZFLAGS) ./internal/spef/
+	$(GO) test -run=NONE -fuzz='^FuzzParse$$' $(FUZZFLAGS) ./internal/unit/
+	$(GO) test -run=NONE -fuzz=FuzzFormatRoundTrip $(FUZZFLAGS) ./internal/unit/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeRequest $(FUZZFLAGS) ./internal/eedsrv/
+	$(GO) test -run=NONE -fuzz=FuzzParseFaultSpec $(FUZZFLAGS) ./internal/faultinj/
+	$(GO) test -run=NONE -fuzz=FuzzScaledInverse $(FUZZFLAGS) ./internal/core/
 
 # loc: Go line counts (blank and comment lines included) under internal/
 # and cmd/, without and with tests — the tally a deletion is measured by.

@@ -35,6 +35,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -120,7 +121,8 @@ func realMain() int {
 		logger.Info("listening", "addr", ln.Addr().String(), "debug_requests", *debugReq)
 	}
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	fresh := &freshConns{conns: make(map[net.Conn]struct{})}
+	httpSrv := &http.Server{Handler: srv.Handler(), ConnState: fresh.track}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -139,9 +141,7 @@ func realMain() int {
 		logger.Info("draining", "inflight", srv.Inflight())
 	}
 	srv.Drain()
-	shCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(shCtx); err != nil {
+	if err := drain(httpSrv, fresh, *drainTimeout); err != nil {
 		fmt.Fprintf(os.Stderr, "eedd: shutdown: %v\n", err)
 		return 1
 	}
@@ -154,4 +154,55 @@ func realMain() int {
 		logger.Info("drained")
 	}
 	return 0
+}
+
+// freshGrace is how long a drain lets a connection finish its first
+// request header. Such a request is answered (an analysis request is
+// refused as draining, with Retry-After, so the client knows it never
+// ran); a connection that has still not sent one is closed.
+const freshGrace = 100 * time.Millisecond
+
+// drain shuts httpSrv down within timeout, closing the connections still
+// fresh freshGrace into it.
+func drain(httpSrv *http.Server, fresh *freshConns, timeout time.Duration) error {
+	closeFresh := time.AfterFunc(freshGrace, fresh.closeAll)
+	defer closeFresh.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return httpSrv.Shutdown(ctx)
+}
+
+// freshConns tracks the connections in http.StateNew: accepted, but not
+// yet through a whole request header. Shutdown counts such a connection
+// as active until it has been new for 5 s, so a client's spare dial,
+// which never sends a request, would hold up the drain that long.
+type freshConns struct {
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+}
+
+// track is the server's ConnState hook.
+func (f *freshConns) track(c net.Conn, st http.ConnState) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case st != http.StateNew:
+		delete(f.conns, c)
+	case f.closed:
+		c.Close()
+	default:
+		f.conns[c] = struct{}{}
+	}
+}
+
+// closeAll closes every tracked connection, and each new one from now on.
+func (f *freshConns) closeAll() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.closed = true
+	for c := range f.conns {
+		c.Close()
+	}
+	clear(f.conns)
 }

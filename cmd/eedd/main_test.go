@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -14,6 +16,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"eedtree/internal/eedsrv"
 )
 
 // TestMain turns the test binary into eedd when re-exec'd, so the e2e
@@ -289,6 +293,96 @@ func TestDrainRejectsDuringShutdownWindow(t *testing.T) {
 	}
 	if !strings.Contains(rest.String(), "draining") || !strings.Contains(rest.String(), "drained, bye") {
 		t.Fatalf("drain log lines missing:\n%s", rest.String())
+	}
+}
+
+// TestDrainClosesSilentConnection: a connection that never sent a byte
+// holds no work, so the drain closes it freshGrace in and exits 0.
+// http.Server.Shutdown alone counts it as active for 5 s, so the 1 s
+// drain deadline would expire first and the daemon exit 1.
+func TestDrainClosesSilentConnection(t *testing.T) {
+	cmd, base, rest := startDaemon(t, "-drain-timeout", "1s")
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The daemon accepts connections in arrival order, so once a request
+	// on a later one is answered, the silent one is accepted.
+	waitHTTP(t, base+"/healthz")
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); exitCode(t, err) != 0 {
+		t.Fatalf("exit %d after SIGTERM with a silent connection open, want 0\nstderr:\n%s",
+			exitCode(t, err), rest.String())
+	}
+}
+
+// TestDrainAnswersAHeaderInTransit: a connection partway through its
+// first request header when the drain starts is not cut off. Its header
+// completes inside freshGrace, and the request is refused as draining
+// with Retry-After, which tells the client it never ran and is safe to
+// retry. Closing fresh connections at once would drop it unanswered.
+func TestDrainAnswersAHeaderInTransit(t *testing.T) {
+	srv := eedsrv.New(eedsrv.Options{})
+	fresh := &freshConns{conns: make(map[net.Conn]struct{})}
+	httpSrv := &http.Server{Handler: srv.Handler(), ConnState: fresh.track}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go httpSrv.Serve(ln)
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/delay HTTP/1.1\r\nHost: eedd\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	for tracked := 0; tracked == 0; time.Sleep(time.Millisecond) {
+		fresh.mu.Lock()
+		tracked = len(fresh.conns)
+		fresh.mu.Unlock()
+	}
+
+	srv.Drain()
+	drained := make(chan error, 1)
+	go func() { drained <- drain(httpSrv, fresh, 5*time.Second) }()
+	// Shutdown closes the listener as it starts, so once a dial fails the
+	// drain is under way.
+	for {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			break
+		}
+		c.Close()
+		time.Sleep(time.Millisecond)
+	}
+	body := `{"tree": "a - 25 1n 50f\nb a 25 1n 50f\n", "node": "b"}`
+	if _, err := fmt.Fprintf(conn, "Content-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		len(body), body); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("request whose header was in transit at drain start: %v, want a draining 503", err)
+	}
+	var apiErr struct {
+		Error struct {
+			Class string `json:"class"`
+		} `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&apiErr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusServiceUnavailable ||
+		apiErr.Error.Class != "draining" || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("status %d, class %q, Retry-After %q (decode error %v), want a draining 503 with Retry-After",
+			resp.StatusCode, apiErr.Error.Class, resp.Header.Get("Retry-After"), err)
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 }
 

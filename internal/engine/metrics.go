@@ -23,22 +23,17 @@ var (
 	mBatchTasks = obs.Default().Counter("eed_engine_batch_tasks_total",
 		"Batch tasks executed.")
 
-	// Incremental-session metrics (session.go). The query/full latency
-	// pair is the observable form of the incremental design's bet: single
-	// -sink queries under edits should sit orders of magnitude below the
-	// whole-tree sweep latency.
+	// Incremental-session metrics (session.go). A single-sink query is
+	// counted, not timed: its O(depth) path walk costs less than the two
+	// clock reads a histogram sample would take. A served query is timed
+	// by its request's wide-event stage, and a session's whole-tree sweep
+	// by eed_engine_sweep_latency_ns.
 	mIncrSessions = obs.Default().Counter("eed_incr_sessions_total",
 		"Incremental analysis sessions created.")
 	mIncrEdits = obs.Default().Counter("eed_incr_edits_total",
 		"Element edits folded into incremental session state.")
 	mIncrQueries = obs.Default().Counter("eed_incr_queries_total",
 		"Single-sink incremental sum queries served.")
-	mIncrQueryLatency = obs.Default().Histogram("eed_incr_query_latency_ns",
-		"Latency of one single-sink incremental sums query (catch-up included), nanoseconds.",
-		obs.DefaultLatencyBuckets)
-	mIncrFullLatency = obs.Default().Histogram("eed_incr_full_latency_ns",
-		"Latency of a whole-tree analysis issued through an incremental session, nanoseconds.",
-		obs.DefaultLatencyBuckets)
 
 	// Structural-incremental metrics (the session's structural edits).
 	// The attach/detach/split counters measure how much topology churn

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,5 +175,86 @@ func TestSweepAllocsIndependentOfObs(t *testing.T) {
 	t.Logf("allocations per sweep: bare %.0f, with event and Record %.0f", bare, withEvent)
 	if withEvent > bare+2 {
 		t.Errorf("stage plus Record: %.0f allocations per sweep, bare sweep %.0f", withEvent, bare)
+	}
+}
+
+// histogramCounts returns every _count line of the default registry's
+// exposition: one line per histogram, holding its sample count.
+func histogramCounts(t *testing.T) []string {
+	t.Helper()
+	var b strings.Builder
+	if err := obs.Default().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if name, _, ok := strings.Cut(line, " "); ok && strings.HasSuffix(name, "_count") {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// TestSessionQueriesReadNoClock: an O(depth) session call is counted,
+// not timed, because its path walk costs less than two clock reads.
+// 10,000 edit→query cycles, plus SumsAt, AnalyzeAt and EditAndAnalyze,
+// add no sample to any histogram, and a stage reads the clock only when
+// it has a sink (TestStageReadsClockIffItHasASink in internal/obs), so
+// no sample means no clock read. A structural edit, which costs
+// anywhere from O(depth) to O(n), is still timed: one sample each.
+func TestSessionQueriesReadNoClock(t *testing.T) {
+	ctx := context.Background()
+	tree, err := rlctree.Line("w", 64, rlctree.SectionValues{R: 10, L: 1e-9, C: 50e-15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := tree.Sections()
+	sink := secs[len(secs)-1]
+	const cycles = 10000
+	before, queries := histogramCounts(t), mIncrQueries.Value()
+	for i := 0; i < cycles; i++ {
+		sec := secs[i%len(secs)]
+		w := 1 + float64(i%7)
+		if err := sess.SetC(sec, 50e-15*w); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.SetR(sec, 10/w); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.DelayAt(sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, _, err := sess.SumsAt(sink); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.AnalyzeAt(sink); err != nil {
+		t.Fatal(err)
+	}
+	edits := []SectionEdit{{Section: secs[3], Elem: rlctree.ElemL, Value: 2e-9}}
+	if _, err := sess.EditAndAnalyze(ctx, edits, sink); err != nil {
+		t.Fatal(err)
+	}
+	if got := mIncrQueries.Value() - queries; got != cycles+3 {
+		t.Errorf("eed_incr_queries_total rose by %d, want %d", got, cycles+3)
+	}
+	if after := histogramCounts(t); !slices.Equal(after, before) {
+		t.Errorf("O(depth) session calls moved histogram counts:\nbefore %q\nafter  %q", before, after)
+	}
+
+	structural := mIncrStructLatency.Count()
+	tap, err := sess.AttachLeaf("tap", sink, 2, 0, 5e-15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Detach(tap); err != nil {
+		t.Fatal(err)
+	}
+	if got := mIncrStructLatency.Count() - structural; got != 2 {
+		t.Errorf("AttachLeaf and Detach added %d eed_incr_structural_latency_ns samples, want 2", got)
 	}
 }

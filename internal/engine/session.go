@@ -216,7 +216,9 @@ func (s *Session) SplitSection(sec *rlctree.Section, k int) ([]*rlctree.Section,
 
 // SumsAt returns the node's two path summations S_R(i), S_L(i) and its
 // downstream capacitance, incrementally maintained — the raw quantities of
-// the paper's Appendix at O(depth) cost under edits.
+// the paper's Appendix at O(depth) cost under edits. A query is counted in
+// eed_incr_queries_total and reads no clock: the path walk costs less than
+// timing it would.
 func (s *Session) SumsAt(sink *rlctree.Section) (sr, sl, ctot float64, err error) {
 	if err := s.checkSection(sink); err != nil {
 		return 0, 0, 0, err
@@ -227,11 +229,9 @@ func (s *Session) SumsAt(sink *rlctree.Section) (sr, sl, ctot float64, err error
 		return 0, 0, 0, guard.Newf(guard.ErrNumeric, "engine.faultinj",
 			"injected numeric degradation (sess.numeric)")
 	}
-	lat := obs.Time(mIncrQueryLatency)
 	sr, sl, ctot, err = s.st.SumsAt(sink.Index())
 	if err == nil {
 		mIncrQueries.Inc()
-		lat.End()
 	}
 	return sr, sl, ctot, err
 }
@@ -292,9 +292,8 @@ func (s *Session) EditAndAnalyze(ctx context.Context, edits []SectionEdit, sink 
 // Analyze returns the whole-tree characterization. While the session
 // holds the result of the tree's current generation it returns a copy of
 // it — an engine cache hit; otherwise it sweeps with its engine's
-// AnalyzeTree — a miss — and holds the new result. Sweep latency lands in
-// eed_incr_full_latency_ns; compare against eed_incr_query_latency_ns for
-// the full-vs-incremental cost split.
+// AnalyzeTree — a miss — and holds the new result. AnalyzeTree times the
+// sweep, in eed_engine_sweep_latency_ns.
 func (s *Session) Analyze(ctx context.Context) ([]core.NodeAnalysis, error) {
 	if faultinj.Fire(faultinj.SessNumeric) {
 		return nil, guard.Newf(guard.ErrNumeric, "engine.faultinj",
@@ -308,12 +307,10 @@ func (s *Session) Analyze(ctx context.Context) ([]core.NodeAnalysis, error) {
 	s.full = nil // of an older generation, moved around the session
 	s.eng.misses.Add(1)
 	mCacheMisses.Inc()
-	lat := obs.Time(mIncrFullLatency)
 	out, err := s.eng.AnalyzeTree(ctx, s.tree)
 	if err != nil {
 		return nil, err
 	}
-	lat.End()
 	s.full, s.gen = out, s.tree.Gen()
 	return slices.Clone(out), nil
 }
